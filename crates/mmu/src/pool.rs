@@ -11,7 +11,7 @@ use vrm_memmodel::ir::Addr;
 use crate::mem::PhysMem;
 
 /// A bump allocator over a reserved, scrubbed physical region.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct PagePool {
     base: Addr,
     page_words: u64,

@@ -15,7 +15,7 @@ use crate::pool::PagePool;
 use crate::pte::{Perms, Pte, PteKind};
 
 /// Table geometry (all sizes in words; a table occupies one page).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Geometry {
     /// Number of translation levels.
     pub levels: u32,
@@ -88,7 +88,7 @@ impl Geometry {
 }
 
 /// The result of a translation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WalkOutcome {
     /// Translation succeeded.
     Mapped {
@@ -117,7 +117,7 @@ impl WalkOutcome {
 }
 
 /// Errors from page-table updates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MapError {
     /// The target entry already holds a valid mapping (write-once / no
     /// silent overwrite discipline).
@@ -171,7 +171,7 @@ impl Mapping {
 }
 
 /// A multi-level page table rooted at a fixed physical page.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Hash)]
 pub struct PageTable {
     /// Root table base address.
     pub root: Addr,

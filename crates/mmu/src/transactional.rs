@@ -16,7 +16,7 @@ use crate::mem::PhysMem;
 use crate::table::{PageTable, WalkOutcome};
 
 /// A condition-4 counterexample.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TxViolation {
     /// Which writes (indices into the write list) had landed.
     pub applied: Vec<usize>,

@@ -18,7 +18,7 @@ use crate::events::{Log, MEvent, TableKind};
 use crate::layout::{EL2_LINEAR_BASE, MAX_PFN, PAGE_WORDS};
 
 /// KCore's EL2 address space.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct El2Pt {
     pt: PageTable,
 }

@@ -46,7 +46,7 @@ use crate::vgic::{VGic, VgicError};
 
 /// Configuration (including the mutant switches used to demonstrate the
 /// validators catch condition violations).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Hash)]
 pub struct KCoreConfig {
     /// Stage-2 table levels: 3 or 4 (§5.6 verifies both).
     pub s2_levels: u32,
@@ -101,7 +101,7 @@ impl Default for KCoreConfig {
 }
 
 /// Hypercall failures.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum HypercallError {
     /// All VM identifiers are in use (`panic()` branch of Figure 1).
     NoVmidsLeft,
@@ -189,7 +189,7 @@ impl From<VgicError> for HypercallError {
 }
 
 /// VM lifecycle states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VmState {
     /// vmid allocated, nothing configured.
     Registered,
@@ -202,7 +202,7 @@ pub enum VmState {
 }
 
 /// Per-VM metadata.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct VmMeta {
     /// The VM identifier.
     pub vmid: u32,
@@ -288,16 +288,29 @@ impl Locks {
         }
     }
 
+    fn all(&self) -> impl Iterator<Item = &TicketLock> {
+        [&self.vmid, &self.kserv_s2, &self.s2page, &self.el2]
+            .into_iter()
+            .chain(self.vm.iter())
+            .chain(self.smmu.iter())
+    }
+
     /// Writes a canonical encoding of every lock's *semantic* state —
     /// queue depth and holder, not the absolute ticket counters or the
     /// spin statistics, which are schedule history rather than state.
     pub fn encode(&self, w: &mut impl std::fmt::Write) {
-        let all = [&self.vmid, &self.kserv_s2, &self.s2page, &self.el2]
-            .into_iter()
-            .chain(self.vm.iter())
-            .chain(self.smmu.iter());
-        for l in all {
+        for l in self.all() {
             let _ = write!(w, "{}:{:?},", l.queue_depth(), l.holder());
+        }
+    }
+}
+
+/// Hashes exactly what [`Locks::encode`] writes: each lock's queue depth
+/// and holder, in the same order.
+impl std::hash::Hash for Locks {
+    fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
+        for l in self.all() {
+            (l.queue_depth(), l.holder()).hash(h);
         }
     }
 }
@@ -411,8 +424,12 @@ impl KCore {
     /// Writes a canonical encoding of everything that can affect future
     /// behaviour — memory, ownership, tables, VM/vCPU/device state, lock
     /// queues, allocator pools — but *not* the event log (which records
-    /// the path taken, not the state reached) or lock statistics. The
-    /// machine's exhaustive-schedule exploration deduplicates on this.
+    /// the path taken, not the state reached) or lock statistics.
+    ///
+    /// This is the reference for [`state_digest`](Self::state_digest),
+    /// which the machine's exhaustive-schedule exploration deduplicates
+    /// on: two states get equal digests exactly when they encode to
+    /// equal text.
     pub fn encode_state(&self, w: &mut impl std::fmt::Write) {
         let _ = write!(
             w,
@@ -432,6 +449,24 @@ impl KCore {
             self.s2_pool,
             self.smmu_pool
         );
+    }
+
+    /// The state's 128-bit identity, over exactly the fields
+    /// [`encode_state`](Self::encode_state) covers. Memory and the
+    /// s2page array contribute the running hashes they keep up to date
+    /// on every write, so the cost does not grow with their size; the
+    /// rest is hashed structurally through `Hash` with fixed keys
+    /// ([`vrm_explore::digest128`]), locks as queue depth and holder
+    /// only.
+    pub fn state_digest(&self) -> u128 {
+        vrm_explore::digest128(&(
+            (self.mem.digest(), self.s2pages.digest()),
+            (&self.el2, &self.kserv_s2, &self.vms, &self.devices),
+            &self.locks,
+            (&self.cfg, self.stage2_enabled, self.smmu_enabled),
+            (self.next_vmid, self.remap_next),
+            (&self.el2_pool, &self.s2_pool, &self.smmu_pool),
+        ))
     }
 
     fn behaviour(&self) -> S2Behaviour {

@@ -9,7 +9,6 @@
 //! reproducible while exercising many interleavings.
 
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -198,7 +197,7 @@ enum Exec {
 }
 
 /// The outcome of a machine run.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct RunReport {
     /// Operations that completed successfully.
     pub ops_ok: usize,
@@ -252,14 +251,7 @@ impl Machine {
 
     /// Runs to completion (or `max_steps`), returning the report.
     pub fn run(&mut self, max_steps: usize) -> RunReport {
-        let mut report = RunReport {
-            ops_ok: 0,
-            failures: Vec::new(),
-            expectation_violations: Vec::new(),
-            steps: 0,
-            total_spins: 0,
-            stalled: false,
-        };
+        let mut report = RunReport::default();
         // Stall detection: if no CPU completes an operation for this many
         // consecutive steps, every remaining CPU is waiting on something
         // that can never happen (deadlocked rendezvous, lost vCPU, ...).
@@ -804,14 +796,7 @@ impl Machine {
     /// [`check_transition`](crate::refine::check_transition) with the
     /// exhaustive [`check_refinement`](Self::check_refinement).
     pub fn run_refined(&mut self, max_steps: usize) -> (RunReport, Vec<RefinementViolation>) {
-        let mut report = RunReport {
-            ops_ok: 0,
-            failures: Vec::new(),
-            expectation_violations: Vec::new(),
-            steps: 0,
-            total_spins: 0,
-            stalled: false,
-        };
+        let mut report = RunReport::default();
         let mut violations = Vec::new();
         let stall_limit = 200
             * self.cpus.len().max(1)
@@ -939,7 +924,7 @@ impl ScheduleResume {
     }
 
     /// Serializes the suspended walk to a self-contained, checksummed
-    /// byte blob (`VRMSRES1`): the frontier as **schedule paths** (CPU
+    /// byte blob (`VRMSRES2`): the frontier as **schedule paths** (CPU
     /// choices from the root, replayed by the private scheduling
     /// node's deterministic single-step function) inside a
     /// VRMCKPT1 container, plus the visited digests, partial outcomes
@@ -1117,19 +1102,13 @@ impl ScheduleResume {
             completeness,
         };
         let space = SchedSpace::new(cfg, scripts);
-        let root = space
-            .initial()
-            .pop()
-            .expect("schedule space has one initial node");
+        let identity: Vec<usize> = (0..space.root.cpus.len()).collect();
         let mut frontier = Vec::with_capacity(paths.frontier.len());
         for (SchedPath(path), depth) in paths.frontier {
-            let mut node = root.clone();
-            for &cpu in &path {
-                if usize::from(cpu) >= node.cpus.len() {
-                    return fail(CheckpointFault::BadState);
-                }
-                node = node.step_once(usize::from(cpu));
+            if path.iter().any(|&cpu| usize::from(cpu) >= identity.len()) {
+                return fail(CheckpointFault::BadState);
             }
+            let node = replay(&space.root, &path, &identity);
             if !paths
                 .visited_digests
                 .contains(&vrm_explore::digest128(&node))
@@ -1150,8 +1129,11 @@ impl ScheduleResume {
 }
 
 /// Magic + version prefix of the serialized [`ScheduleResume`] format
-/// ([`ScheduleResume::to_bytes`]).
-pub const RESUME_MAGIC: &[u8; 8] = b"VRMSRES1";
+/// ([`ScheduleResume::to_bytes`]). Version 2 carries structural state
+/// digests ([`KCore::state_digest`]) in its visited set; a version-1
+/// blob, whose digests hashed the state's debug text, is rejected as
+/// [`CheckpointFault::BadMagic`](vrm_explore::CheckpointFault::BadMagic).
+pub const RESUME_MAGIC: &[u8; 8] = b"VRMSRES2";
 
 /// A frontier entry's durable image: the schedule path reaching it from
 /// the initial state, carried through the engine's VRMCKPT1 container
@@ -1260,39 +1242,17 @@ impl ExhaustiveReport {
     }
 }
 
-/// Streams canonical-encoding text into two independent accumulators
-/// (FNV-1a and a rotate-multiply mix); 128 digest bits make accidental
-/// state collisions negligible even for millions of states.
-struct DigestWriter {
-    a: u64,
-    b: u64,
-}
-
-impl DigestWriter {
-    fn new() -> Self {
-        DigestWriter {
-            a: 0xcbf2_9ce4_8422_2325,
-            b: 0x6c62_272e_07bb_0142,
-        }
-    }
-}
-
-impl std::fmt::Write for DigestWriter {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        for &byte in s.as_bytes() {
-            self.a = (self.a ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
-            self.b = (self.b.rotate_left(5) ^ u64::from(byte)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        }
-        Ok(())
-    }
-}
-
 /// One node in the schedule tree: the machine state plus the
-/// path-accumulated observations reported at a terminal. Identity is the
-/// 128-bit digest of the canonical state encoding, which excludes the
-/// event log, spin counters, and absolute ticket numbers — and the
-/// schedule `path`, which is derived bookkeeping (two different paths
-/// reaching the same machine state must still deduplicate).
+/// path-accumulated observations reported at a terminal.
+///
+/// Identity is a 128-bit structural digest, computed once when the node
+/// is built: [`KCore::state_digest`] plus, per CPU, its script position,
+/// phase, VM and held vCPU, plus the accumulated results. Like
+/// [`KCore::encode_state`], the reference it is tested against, the
+/// digest leaves out the event log, spin counters and absolute ticket
+/// numbers (a spinning CPU counts by its place in the lock's queue) —
+/// and the schedule `path`, which is derived bookkeeping (two different
+/// paths reaching the same machine state must still deduplicate).
 #[derive(Clone)]
 struct SchedNode {
     kcore: KCore,
@@ -1301,14 +1261,23 @@ struct SchedNode {
     failures: Vec<(usize, &'static str, HypercallError)>,
     expectation_violations: Vec<String>,
     /// The sequence of CPU choices that reached this node from the
-    /// root. Because [`SchedSpace::expand`] is deterministic (fixed
-    /// step RNG seed), the path is a complete, compact, durable
-    /// encoding of the node: replaying it from the initial state
-    /// reconstructs the node bit-for-bit. This is what makes parked
-    /// frontiers serializable ([`ScheduleResume::to_bytes`]) without
-    /// ever encoding a `KCore`.
+    /// root. Because [`SchedNode::step_once`] is deterministic, the path
+    /// is a complete, compact, durable encoding of the node: [`replay`]
+    /// rebuilds the node bit-for-bit from the initial state. This is
+    /// what makes parked frontiers serializable
+    /// ([`ScheduleResume::to_bytes`]) without ever encoding a `KCore`,
+    /// and what symmetry canon permutes.
     path: Vec<u16>,
-    digest: (u64, u64),
+    digest: u128,
+}
+
+/// A CPU's phase as the digest sees it.
+#[derive(Hash)]
+enum PhaseKey {
+    Idle,
+    /// The lock spun on and the number of tickets ahead in its queue.
+    Spinning(LockId, u64),
+    Finished,
 }
 
 impl SchedNode {
@@ -1320,66 +1289,57 @@ impl SchedNode {
         expectation_violations: Vec<String>,
         path: Vec<u16>,
     ) -> Self {
-        let mut w = DigestWriter::new();
-        kcore.encode_state(&mut w);
-        for c in &cpus {
-            let _ = write!(w, "|{}", c.next_op);
-            match &c.phase {
-                Phase::Idle => {
-                    let _ = w.write_str(",i");
-                }
-                Phase::Finished => {
-                    let _ = w.write_str(",f");
-                }
-                Phase::Spinning { lock, ticket, .. } => {
-                    let _ = write!(
-                        w,
-                        ",s{:?}@{}",
-                        lock,
-                        kcore.locks.get(*lock).position(*ticket)
-                    );
-                }
-            }
-            let _ = write!(w, ",{:?},{:?}", c.vm, c.held);
-        }
-        let _ = write!(w, "|{ops_ok}|{failures:?}|{expectation_violations:?}");
+        let cpu_keys: Vec<_> = cpus
+            .iter()
+            .map(|c| {
+                let phase = match &c.phase {
+                    Phase::Idle => PhaseKey::Idle,
+                    Phase::Finished => PhaseKey::Finished,
+                    Phase::Spinning { lock, ticket, .. } => {
+                        PhaseKey::Spinning(*lock, kcore.locks.get(*lock).position(*ticket))
+                    }
+                };
+                (c.next_op, phase, c.vm, c.held)
+            })
+            .collect();
+        let digest = vrm_explore::digest128(&(
+            kcore.state_digest(),
+            cpu_keys,
+            ops_ok,
+            &failures,
+            &expectation_violations,
+        ));
         SchedNode {
-            digest: (w.a, w.b),
             kcore,
             cpus,
             ops_ok,
             failures,
             expectation_violations,
             path,
+            digest,
         }
     }
 
-    /// The deterministic successor of this node when `cpu` takes the
-    /// next step — the single transition function shared by
-    /// [`SchedSpace::expand`] and the checkpoint path replay in
-    /// [`ScheduleResume::from_bytes`], so a serialized frontier is
-    /// reconstructed by the *same* code that built it live.
-    fn step_once(&self, cpu: usize) -> SchedNode {
-        let mut m = Machine {
+    /// The node's state as a machine to step (`Machine::step` never
+    /// draws from the scheduler RNG).
+    fn machine(&self) -> Machine {
+        Machine {
             kcore: self.kcore.clone(),
             cpus: self.cpus.clone(),
             rng: StdRng::seed_from_u64(0),
-        };
-        let mut delta = RunReport {
-            ops_ok: 0,
-            failures: Vec::new(),
-            expectation_violations: Vec::new(),
-            steps: 0,
-            total_spins: 0,
-            stalled: false,
-        };
-        m.step(cpu, &mut delta);
+        }
+    }
+
+    /// Builds the node that `m`, stepped from `self` along `steps`,
+    /// has reached: `delta` (what the steps reported) is folded into
+    /// the accumulated results and the state is digested once.
+    fn descendant(&self, m: Machine, delta: RunReport, steps: &[u16]) -> SchedNode {
         let mut failures = self.failures.clone();
         failures.extend(delta.failures);
         let mut violations = self.expectation_violations.clone();
         violations.extend(delta.expectation_violations);
         let mut path = self.path.clone();
-        path.push(cpu as u16);
+        path.extend_from_slice(steps);
         SchedNode::new(
             m.kcore,
             m.cpus,
@@ -1388,6 +1348,21 @@ impl SchedNode {
             violations,
             path,
         )
+    }
+
+    /// The deterministic successor of this node when `cpu` takes the
+    /// next step — the transition function of both machine spaces,
+    /// which [`replay`] repeats step by step on one machine. Also says
+    /// whether the step finished an operation: `Some(ok)` with `ok`
+    /// false when the operation's failure was recorded, `None` when the
+    /// CPU only drew a ticket, spun or waited.
+    fn step_once(&self, cpu: usize) -> (SchedNode, Option<bool>) {
+        let mut m = self.machine();
+        let mut delta = RunReport::default();
+        m.step(cpu, &mut delta);
+        let finished =
+            (delta.ops_ok + delta.failures.len() > 0).then_some(delta.failures.is_empty());
+        (self.descendant(m, delta, &[cpu as u16]), finished)
     }
 
     fn outcome(&self, stalled: bool) -> SchedOutcome {
@@ -1451,20 +1426,24 @@ fn script_perms(scripts: &[Script]) -> Vec<Vec<usize>> {
     symm::group_permutations(scripts.len(), &groups)
 }
 
-/// Replays `π ∘ path` from the workload's initial node. Because the
-/// scripts inside each symmetry group are identical and
-/// [`SchedNode::step_once`] is deterministic, the result is *exactly*
+/// Replays `π ∘ path` from the workload's initial node: one owned
+/// machine takes every step in place and the reached state is digested
+/// once, at the end. Because [`Machine::step`] is deterministic, the
+/// result is the node the walk would build by [`SchedNode::step_once`]
+/// along the same choices. With `π` the identity, that is the node
+/// `path` reached: this is how [`ScheduleResume::from_bytes`] rebuilds a
+/// frontier. With `π` a symmetry of identical scripts it is *exactly*
 /// the reached node with CPU identities relabeled by `π` — including
-/// its failure strings, event log, and digest — not an approximation
-/// of it. This is the machine layer's canonicalization primitive: it
-/// reuses the same replay determinism that makes checkpoints
-/// serializable.
-fn replay_permuted(root: &SchedNode, path: &[u16], perm: &[usize]) -> SchedNode {
-    let mut node = root.clone();
-    for &c in path {
-        node = node.step_once(perm[usize::from(c)]);
+/// its failure strings, event log and digest — which is the machine
+/// layer's canonicalization primitive.
+fn replay(root: &SchedNode, path: &[u16], perm: &[usize]) -> SchedNode {
+    let steps: Vec<u16> = path.iter().map(|&c| perm[usize::from(c)] as u16).collect();
+    let mut m = root.machine();
+    let mut delta = RunReport::default();
+    for &c in &steps {
+        m.step(usize::from(c), &mut delta);
     }
-    node
+    root.descendant(m, delta, &steps)
 }
 
 /// The minimal-digest orbit member of `node` (when it is not `node`
@@ -1472,7 +1451,7 @@ fn replay_permuted(root: &SchedNode, path: &[u16], perm: &[usize]) -> SchedNode 
 fn canon_node(root: &SchedNode, perms: &[Vec<usize>], node: &SchedNode) -> Option<SchedNode> {
     let mut best: Option<SchedNode> = None;
     for perm in perms {
-        let img = replay_permuted(root, &node.path, perm);
+        let img = replay(root, &node.path, perm);
         let best_digest = best.as_ref().map_or(node.digest, |b| b.digest);
         if img.digest < best_digest {
             best = Some(img);
@@ -1485,7 +1464,7 @@ fn canon_node(root: &SchedNode, perms: &[Vec<usize>], node: &SchedNode) -> Optio
 fn orbit_nodes(root: &SchedNode, perms: &[Vec<usize>], node: &SchedNode) -> Vec<SchedNode> {
     let mut out: Vec<SchedNode> = Vec::new();
     for perm in perms {
-        let img = replay_permuted(root, &node.path, perm);
+        let img = replay(root, &node.path, perm);
         if img.digest != node.digest && out.iter().all(|o| o.digest != img.digest) {
             out.push(img);
         }
@@ -1529,7 +1508,7 @@ impl StateSpace for SchedSpace {
         }
         let mut progressed = false;
         for cpu in runnable {
-            let succ = node.step_once(cpu);
+            let (succ, _) = node.step_once(cpu);
             if succ.digest != node.digest {
                 progressed = true;
                 sink.push(succ);
@@ -1556,7 +1535,7 @@ impl Deps for SchedSpace {
     }
 
     fn expand_proc(&self, node: &SchedNode, p: usize, sink: &mut Sink<SchedNode, SchedOutcome>) {
-        let succ = node.step_once(p);
+        let (succ, _) = node.step_once(p);
         if succ.digest != node.digest {
             sink.push(succ);
         }
@@ -1659,47 +1638,19 @@ impl RefineSpace {
         cpu: usize,
         sink: &mut Sink<SchedNode, RefineEmit>,
     ) -> bool {
-        let mut m = Machine {
-            kcore: node.kcore.clone(),
-            cpus: node.cpus.clone(),
-            rng: StdRng::seed_from_u64(0),
-        };
-        let mut delta = RunReport {
-            ops_ok: 0,
-            failures: Vec::new(),
-            expectation_violations: Vec::new(),
-            steps: 0,
-            total_spins: 0,
-            stalled: false,
-        };
-        let pre_vm = node.cpus[cpu].vm;
-        let pre_op = node.cpus[cpu].next_op;
-        m.step(cpu, &mut delta);
-        if delta.ops_ok + delta.failures.len() > 0 {
-            let op = node.cpus[cpu].script[pre_op].clone();
-            let ok = delta.failures.is_empty();
-            for detail in crate::refine::check_transition(&node.kcore, pre_vm, &op, ok, &m.kcore) {
+        let (succ, finished) = node.step_once(cpu);
+        if let Some(ok) = finished {
+            let pre = &node.cpus[cpu];
+            let op = &pre.script[pre.next_op];
+            for detail in crate::refine::check_transition(&node.kcore, pre.vm, op, ok, &succ.kcore)
+            {
                 sink.emit(RefineEmit::Violation(RefinementViolation {
                     cpu,
-                    op: op_name(&op),
+                    op: op_name(op),
                     detail,
                 }));
             }
         }
-        let mut failures = node.failures.clone();
-        failures.extend(delta.failures);
-        let mut violations = node.expectation_violations.clone();
-        violations.extend(delta.expectation_violations);
-        let mut path = node.path.clone();
-        path.push(cpu as u16);
-        let succ = SchedNode::new(
-            m.kcore,
-            m.cpus,
-            node.ops_ok + delta.ops_ok,
-            failures,
-            violations,
-            path,
-        );
         if succ.digest != node.digest {
             sink.push(succ);
             true
@@ -1963,6 +1914,133 @@ mod tests {
             ),
             "{err:?}"
         );
+    }
+
+    /// Fingerprints of a node's identity as canonical text, the oracles
+    /// for the structural digests: of its `encode_state` text (for
+    /// [`KCore::state_digest`]), and of that text followed by the
+    /// per-CPU and accumulated fields, with spin counts and absolute
+    /// tickets left out (for the node digest). The texts themselves are
+    /// too large to hold for a whole walk.
+    fn reference_fingerprints(n: &SchedNode) -> (u128, u128) {
+        use std::fmt::Write as _;
+        let mut w = String::new();
+        n.kcore.encode_state(&mut w);
+        let kcore = vrm_explore::digest128(&w);
+        for c in &n.cpus {
+            let _ = write!(w, "|{}", c.next_op);
+            match &c.phase {
+                Phase::Idle => w.push_str(",i"),
+                Phase::Finished => w.push_str(",f"),
+                Phase::Spinning { lock, ticket, .. } => {
+                    let pos = n.kcore.locks.get(*lock).position(*ticket);
+                    let _ = write!(w, ",s{lock:?}@{pos}");
+                }
+            }
+            let _ = write!(w, ",{:?},{:?}", c.vm, c.held);
+        }
+        let _ = write!(
+            w,
+            "|{}|{:?}|{:?}",
+            n.ops_ok, n.failures, n.expectation_violations
+        );
+        (kcore, vrm_explore::digest128(&w))
+    }
+
+    /// Every node an unreduced walk of `scripts` generates — revisits
+    /// included — with its reference fingerprints, deduplicated for
+    /// expansion by the node fingerprint (not by the digest under
+    /// test), followed by each reached node's symmetry images as
+    /// [`replay`] builds them for canon and orbit.
+    fn generated_nodes(scripts: Vec<Script>) -> Vec<(SchedNode, (u128, u128))> {
+        let space = SchedSpace::new(KCoreConfig::default(), scripts);
+        let mut expanded = std::collections::HashSet::new();
+        let mut stack = vec![space.root.clone()];
+        let mut nodes = Vec::new();
+        while let Some(n) = stack.pop() {
+            let fps = reference_fingerprints(&n);
+            if expanded.insert(fps.1) {
+                for cpu in SchedSpace::runnable(&n) {
+                    stack.push(n.step_once(cpu).0);
+                }
+            }
+            nodes.push((n, fps));
+        }
+        let mut images = Vec::new();
+        for (n, _) in nodes.iter().filter(|(_, fps)| expanded.remove(&fps.1)) {
+            for perm in &space.perms {
+                let img = replay(&space.root, &n.path, perm);
+                let fps = reference_fingerprints(&img);
+                images.push((img, fps));
+            }
+        }
+        nodes.extend(images);
+        nodes
+    }
+
+    /// Records `key ↦ value`; false if `key` already maps elsewhere.
+    fn maps_to<K: std::hash::Hash + Eq, V: Copy + Eq>(
+        map: &mut std::collections::HashMap<K, V>,
+        key: K,
+        value: V,
+    ) -> bool {
+        *map.entry(key).or_insert(value) == value
+    }
+
+    #[test]
+    fn walk_digests_are_equal_exactly_when_reference_texts_are() {
+        use std::collections::HashMap;
+        for (name, reached) in [("unmap", 117), ("mirror", 137)] {
+            let scripts = crate::workloads::by_name(name).expect("registered workload");
+            let nodes = generated_nodes(scripts);
+            let (mut node_ids, mut node_texts) = (HashMap::new(), HashMap::new());
+            let (mut kcore_ids, mut kcore_texts) = (HashMap::new(), HashMap::new());
+            for (n, (kcore_text, node_text)) in &nodes {
+                let state = n.kcore.state_digest();
+                // Text → digest and digest → text must both stay
+                // functions: over every pair, equal text ⇔ equal digest.
+                assert!(
+                    maps_to(&mut node_ids, node_text, n.digest)
+                        && maps_to(&mut node_texts, n.digest, node_text),
+                    "{name}: node digest and reference text disagree at {:?}",
+                    n.path
+                );
+                assert!(
+                    maps_to(&mut kcore_ids, kcore_text, state)
+                        && maps_to(&mut kcore_texts, state, kcore_text),
+                    "{name}: state_digest and encode_state disagree at {:?}",
+                    n.path
+                );
+            }
+            // The unreduced anchors: the walk covered the whole space,
+            // and revisits were really compared.
+            assert_eq!(node_ids.len(), reached, "{name}");
+            assert!(nodes.len() > reached, "{name}: {} nodes", nodes.len());
+        }
+    }
+
+    #[test]
+    fn replay_rebuilds_the_node_its_path_reached() {
+        let scripts = crate::workloads::by_name("unmap").expect("unmap workload");
+        let space = SchedSpace::new(KCoreConfig::default(), scripts);
+        let identity: Vec<usize> = (0..space.root.cpus.len()).collect();
+        // Down one schedule: every prefix, rebuilt by replay, equals
+        // the node the step-by-step walk built.
+        let mut node = space.root.clone();
+        while let Some(&cpu) = SchedSpace::runnable(&node).last() {
+            node = node.step_once(cpu).0;
+            let r = replay(&space.root, &node.path, &identity);
+            assert_eq!(r.digest, node.digest, "path {:?}", node.path);
+            assert_eq!(
+                reference_fingerprints(&r),
+                reference_fingerprints(&node),
+                "path {:?}",
+                node.path
+            );
+            assert_eq!(r.kcore.log, node.kcore.log, "path {:?}", node.path);
+            assert_eq!(r.path, node.path);
+        }
+        assert!(node.path.len() > 10, "a real schedule: {:?}", node.path);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use vrm_mmu::transactional::{check_writes_transactional, TxViolation};
 use crate::events::{Log, MEvent, TableKind};
 
 /// Errors from stage-2 updates.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum S2Error {
     /// Underlying table operation failed.
     Map(MapError),
@@ -64,7 +64,7 @@ pub struct S2Behaviour {
 }
 
 /// One principal's stage-2 table.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct Stage2 {
     /// Which tree this is (for event attribution).
     pub kind: TableKind,

@@ -6,6 +6,10 @@
 //! it is not the owner of a physical page before mapping it to a stage 2
 //! or SMMU page table."
 
+use std::sync::Arc;
+
+use vrm_mmu::mem::cell_hash;
+
 use crate::layout::{self, MAX_PFN};
 
 /// The owner of one physical page.
@@ -31,7 +35,7 @@ pub struct S2Page {
 }
 
 /// Errors from ownership transitions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OwnershipError {
     /// Page number out of range.
     BadPfn,
@@ -62,9 +66,41 @@ impl std::fmt::Display for OwnershipError {
 impl std::error::Error for OwnershipError {}
 
 /// The ownership array.
-#[derive(Debug, Clone)]
+///
+/// The pages sit behind an [`Arc`], so a clone (every explored machine
+/// state is one) shares the 16K-entry array until one side changes an
+/// ownership record. A running 128-bit hash — the sum of
+/// [`cell_hash`] over every `(pfn, page)` — is kept exact by the one
+/// private helper all four mutators go through, so a state digest
+/// reads it instead of walking the array.
+#[derive(Clone)]
 pub struct S2PageArray {
-    pages: Vec<S2Page>,
+    pages: Arc<Vec<S2Page>>,
+    hash: u128,
+}
+
+/// The debug form names the pages only; the hash is derived from them.
+impl std::fmt::Debug for S2PageArray {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("S2PageArray")
+            .field("pages", &self.pages)
+            .finish()
+    }
+}
+
+/// One page record's summand of the array hash: the page packed into
+/// two words (the pfn is below 2^32, so `pfn | map_count << 32` is
+/// injective) and mixed by [`cell_hash`].
+fn page_hash(pfn: u64, p: &S2Page) -> u128 {
+    let owner = match p.owner {
+        Owner::KCore => 0,
+        Owner::KServ => 1 << 32,
+        Owner::Vm(v) => (2 << 32) | u64::from(v),
+    };
+    cell_hash(
+        pfn | (u64::from(p.map_count) << 32),
+        owner | (u64::from(p.shared) << 40),
+    )
 }
 
 impl Default for S2PageArray {
@@ -77,7 +113,7 @@ impl S2PageArray {
     /// Creates the array with the boot-time layout: KCore private regions
     /// owned by KCore, everything else by KServ.
     pub fn new() -> Self {
-        let pages = (0..MAX_PFN)
+        let pages: Vec<S2Page> = (0..MAX_PFN)
             .map(|pfn| S2Page {
                 owner: if layout::is_kcore_private(pfn) {
                     Owner::KCore
@@ -88,7 +124,30 @@ impl S2PageArray {
                 map_count: 0,
             })
             .collect();
-        S2PageArray { pages }
+        let hash = pages
+            .iter()
+            .zip(0..)
+            .fold(0u128, |h, (p, pfn)| h.wrapping_add(page_hash(pfn, p)));
+        S2PageArray {
+            pages: Arc::new(pages),
+            hash,
+        }
+    }
+
+    /// Applies `edit` to an in-range page: unshares the array if a
+    /// clone still holds it, and moves the running hash from the old
+    /// record to the new one.
+    fn update(&mut self, pfn: u64, edit: impl FnOnce(&mut S2Page)) {
+        let p = &mut Arc::make_mut(&mut self.pages)[pfn as usize];
+        self.hash = self.hash.wrapping_sub(page_hash(pfn, p));
+        edit(p);
+        self.hash = self.hash.wrapping_add(page_hash(pfn, p));
+    }
+
+    /// The running hash of every page record: equal for equal arrays,
+    /// and O(1) to read.
+    pub(crate) fn digest(&self) -> u128 {
+        self.hash
     }
 
     /// Reads a page's metadata.
@@ -116,23 +175,24 @@ impl S2PageArray {
         if page.map_count > 0 {
             return Err(OwnershipError::StillMapped);
         }
-        let p = &mut self.pages[pfn as usize];
-        p.owner = to;
-        p.shared = false;
+        self.update(pfn, |p| {
+            p.owner = to;
+            p.shared = false;
+        });
         Ok(())
     }
 
     /// Marks a page shared (or unshared) with KServ.
     pub fn set_shared(&mut self, pfn: u64, shared: bool) -> Result<(), OwnershipError> {
         self.get(pfn)?;
-        self.pages[pfn as usize].shared = shared;
+        self.update(pfn, |p| p.shared = shared);
         Ok(())
     }
 
     /// Notes one more stage-2/SMMU mapping of this page.
     pub fn inc_map(&mut self, pfn: u64) -> Result<(), OwnershipError> {
         self.get(pfn)?;
-        self.pages[pfn as usize].map_count += 1;
+        self.update(pfn, |p| p.map_count += 1);
         Ok(())
     }
 
@@ -142,7 +202,7 @@ impl S2PageArray {
         if p.map_count == 0 {
             return Err(OwnershipError::StillMapped);
         }
-        self.pages[pfn as usize].map_count -= 1;
+        self.update(pfn, |p| p.map_count -= 1);
         Ok(())
     }
 
@@ -210,5 +270,69 @@ mod tests {
     fn bad_pfn_rejected() {
         let a = S2PageArray::new();
         assert_eq!(a.owner(MAX_PFN), Err(OwnershipError::BadPfn));
+    }
+
+    fn recomputed(a: &S2PageArray) -> u128 {
+        (0..MAX_PFN).fold(0u128, |h, pfn| {
+            h.wrapping_add(page_hash(pfn, &a.get(pfn).unwrap()))
+        })
+    }
+
+    #[test]
+    fn clones_share_pages_until_one_side_writes() {
+        let a = S2PageArray::new();
+        let mut b = a.clone();
+        assert!(Arc::ptr_eq(&a.pages, &b.pages));
+        // A failed transition writes nothing and keeps the sharing.
+        assert!(b.transfer(0, Owner::KCore, Owner::KServ).is_err());
+        assert!(Arc::ptr_eq(&a.pages, &b.pages));
+        b.inc_map(layout::VM_POOL_PFN.0).unwrap();
+        assert!(!Arc::ptr_eq(&a.pages, &b.pages));
+        assert_eq!(a.get(layout::VM_POOL_PFN.0).unwrap().map_count, 0);
+        assert_ne!(a.digest(), b.digest());
+        b.dec_map(layout::VM_POOL_PFN.0).unwrap();
+        assert_eq!(a.digest(), b.digest());
+    }
+
+    #[test]
+    fn running_hash_matches_recomputation_through_diverging_clones() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5_2a6e);
+        let owners = [Owner::KCore, Owner::KServ, Owner::Vm(0), Owner::Vm(1)];
+        // Edits cluster on a few pages around the KCore/KServ boundary
+        // and the VM pool, so transfers both succeed and fail.
+        let pfns: Vec<u64> = (0..4)
+            .chain(layout::KSERV_PFN.0..layout::KSERV_PFN.0 + 2)
+            .chain(layout::VM_POOL_PFN.0..layout::VM_POOL_PFN.0 + 4)
+            .collect();
+        let mut arrays = vec![S2PageArray::new()];
+        for step in 0..600 {
+            let i = rng.gen_range(0..arrays.len());
+            if step % 50 == 0 {
+                let fork = arrays[i].clone();
+                arrays.push(fork);
+            }
+            let a = &mut arrays[i];
+            let pfn = pfns[rng.gen_range(0..pfns.len())];
+            let _ = match rng.gen_range(0..4u32) {
+                0 => {
+                    let expect = owners[rng.gen_range(0..owners.len())];
+                    let to = owners[rng.gen_range(0..owners.len())];
+                    a.transfer(pfn, expect, to)
+                }
+                1 => a.set_shared(pfn, rng.gen_bool(0.5)),
+                2 => a.inc_map(pfn),
+                _ => a.dec_map(pfn),
+            };
+            assert_eq!(a.digest(), recomputed(a), "step {step}, array {i}");
+            // An edit must never leak into the arrays it was cloned
+            // from or into.
+            if step % 50 == 49 {
+                for (j, a) in arrays.iter().enumerate() {
+                    assert_eq!(a.digest(), recomputed(a), "step {step}, array {j}");
+                }
+            }
+        }
     }
 }

@@ -16,7 +16,7 @@ use crate::npt::{S2Behaviour, S2Error, Stage2};
 use crate::s2page::Owner;
 
 /// One SMMU-attached device's translation state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct SmmuDevice {
     /// Device id.
     pub dev: u32,

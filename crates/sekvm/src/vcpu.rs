@@ -10,7 +10,7 @@
 //! a state machine with panics mirroring Figure 2's `panic()`.
 
 /// Architectural register file of one vCPU (abbreviated).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct VcpuCtx {
     /// General-purpose registers.
     pub regs: [u64; 8],
@@ -22,7 +22,7 @@ pub struct VcpuCtx {
 }
 
 /// The ownership state of a vCPU context.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VcpuState {
     /// Not running anywhere; the context is current.
     Inactive,
@@ -34,7 +34,7 @@ pub enum VcpuState {
 }
 
 /// Errors from the protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VcpuError {
     /// Attempt to restore a context that is not `Inactive` (Figure 2's
     /// `panic()` branch).
@@ -55,7 +55,7 @@ impl std::fmt::Display for VcpuError {
 impl std::error::Error for VcpuError {}
 
 /// One vCPU.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct Vcpu {
     /// Saved context (valid while `Inactive`).
     pub ctx: VcpuCtx,

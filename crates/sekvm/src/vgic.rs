@@ -11,7 +11,7 @@
 pub const MAX_IRQS: usize = 32;
 
 /// Errors from vGIC operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VgicError {
     /// Interrupt id out of range.
     BadIrq,
@@ -34,7 +34,7 @@ impl std::fmt::Display for VgicError {
 impl std::error::Error for VgicError {}
 
 /// Per-VM virtual interrupt controller state.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Hash)]
 pub struct VGic {
     /// `pending[vcpu][irq]`.
     pending: Vec<[bool; MAX_IRQS]>,

@@ -19,7 +19,7 @@
 //! "don't know" past the point where re-exploring (resuming the parked
 //! checkpoint) could do better.
 //!
-//! The checkpoint store holds *serialized* walks — VRMSRES1 blobs from
+//! The checkpoint store holds *serialized* walks — VRMSRES2 blobs from
 //! [`vrm_sekvm::machine::ScheduleResume::to_bytes`] — rather than live
 //! `ScheduleResume` values, so the same bytes flow to the in-memory
 //! store, the write-ahead log, and the out-of-process worker protocol,
@@ -190,7 +190,7 @@ impl VerdictCache {
     }
 }
 
-/// Program-digest → suspended schedule walk (as a serialized VRMSRES1
+/// Program-digest → suspended schedule walk (as a serialized VRMSRES2
 /// blob), bounded by an LRU cap.
 ///
 /// Checkpoints are single-use: [`take`](CheckpointStore::take) removes

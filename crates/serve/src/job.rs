@@ -135,14 +135,14 @@ fn wdrf_config(cfg: &JobConfig) -> WdrfCheckConfig {
     w
 }
 
-/// Serializes a parked schedule walk into its durable VRMSRES1 image
+/// Serializes a parked schedule walk into its durable VRMSRES2 image
 /// (`None` for the foreign-typed checkpoints that cannot travel —
 /// which [`Machine::explore_schedules`] never produces).
 pub fn encode_resume(resume: &ScheduleResume) -> Option<Vec<u8>> {
     resume.to_bytes()
 }
 
-/// Rebuilds a parked walk from its VRMSRES1 image, replaying the
+/// Rebuilds a parked walk from its VRMSRES2 image, replaying the
 /// serialized schedule paths under the job's own scripts. `Err` means
 /// the blob is corrupt — or parked by a different workload — and must
 /// be discarded, never resumed.

@@ -25,9 +25,14 @@
 //! | kind | meaning | payload |
 //! |------|---------|---------|
 //! | 1 | verdict insert | digest `u128`, verdict, `states u64`, `wall_ns u64`, detail |
-//! | 2 | checkpoint park | program digest `u128`, VRMSRES1 blob |
+//! | 2 | checkpoint park | program digest `u128`, VRMSRES2 blob |
 //! | 3 | checkpoint take | program digest `u128` |
 //! | 4 | verdict remove (TTL expiry) | digest `u128` |
+//!
+//! A park record's blob is opaque here: one from an older format
+//! (`VRMSRES1`) replays into the store like any other, and the job that
+//! takes it fails to decode it, counts it on `serve/checkpoint_corrupt`
+//! and walks from scratch.
 //!
 //! ## Crash-safety discipline
 //!
@@ -99,7 +104,7 @@ pub enum WalRecord {
         /// The cached answer.
         entry: CacheEntry,
     },
-    /// A suspended walk was parked, serialized as a VRMSRES1 blob.
+    /// A suspended walk was parked, serialized as a VRMSRES2 blob.
     Park {
         /// The program digest (the checkpoint-store key).
         pdigest: u128,
@@ -415,7 +420,7 @@ fn decode_verdict(c: &mut &[u8]) -> Option<Verdict> {
     }
 }
 
-/// Stable byte tag of a truncation reason (shared with the VRMSRES1
+/// Stable byte tag of a truncation reason (shared with the VRMSRES2
 /// container's tags so both durable formats agree).
 pub fn reason_tag(r: TruncationReason) -> u8 {
     match r {

@@ -1,7 +1,7 @@
 //! The out-of-process worker: one job over stdio, then exit.
 //!
 //! `serve worker` reads a single submit-shaped JSON line from stdin
-//! (plus an optional `resume` field carrying a hex-encoded VRMSRES1
+//! (plus an optional `resume` field carrying a hex-encoded VRMSRES2
 //! checkpoint), executes it in-process exactly as a daemon worker
 //! thread would ([`crate::job::execute_blob`]), writes a single
 //! result line to stdout — the [`crate::protocol::render_result`]

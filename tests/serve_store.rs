@@ -10,9 +10,14 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use vrm::explore::Verdict;
+use vrm::explore::{CheckpointFault, ExploreError, Verdict};
 use vrm::obs::{serve as counters, Counter};
-use vrm::serve::{JobConfig, JobResult, JobSpec, ServeConfig, Service, SubmitOutcome};
+use vrm::sekvm::machine::{ExhaustiveConfig, Machine, ScheduleResume};
+use vrm::sekvm::{workloads, KCoreConfig};
+use vrm::serve::{
+    DurableStore, JobConfig, JobResult, JobSpec, ServeConfig, Service, StoreOptions, SubmitOutcome,
+    WalRecord,
+};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir =
@@ -202,4 +207,88 @@ fn an_expired_unknown_is_reexplored_from_its_checkpoint() {
         "the re-exploration must start from the parked checkpoint"
     );
     svc.shutdown();
+}
+
+/// The unmap walk parked at 40 states, serialized under the version-1
+/// magic with an intact footer: the blob a build whose state digests
+/// hashed debug text would have parked. The layout is unchanged, only
+/// the meaning of the visited digests.
+fn version_1_blob() -> Vec<u8> {
+    let small = ExhaustiveConfig {
+        max_states: 40,
+        jobs: 1,
+        ..ExhaustiveConfig::default()
+    };
+    let parked = Machine::explore_schedules(KCoreConfig::default(), workloads::unmap(), &small)
+        .expect("walk")
+        .resume
+        .expect("a 40-state unmap walk is truncated");
+    let mut blob = parked.to_bytes().expect("own checkpoints serialize");
+    assert_eq!(&blob[..8], b"VRMSRES2");
+    blob[..8].copy_from_slice(b"VRMSRES1");
+    let body = blob.len() - vrm::explore::CHECKPOINT_FOOTER_LEN;
+    let sum = vrm::explore::checksum64(&blob[..body]);
+    blob[body + 8..].copy_from_slice(&sum.to_le_bytes());
+    blob
+}
+
+#[test]
+fn a_version_1_schedule_checkpoint_is_rejected_on_its_magic() {
+    let err = ScheduleResume::from_bytes(
+        KCoreConfig::default(),
+        workloads::unmap(),
+        &version_1_blob(),
+    )
+    .expect_err("a version-1 blob must not resume");
+    assert!(
+        matches!(
+            err,
+            ExploreError::CorruptCheckpoint(CheckpointFault::BadMagic)
+        ),
+        "{err:?}"
+    );
+}
+
+#[test]
+fn a_parked_version_1_checkpoint_is_recomputed_not_resumed() {
+    if armed() {
+        return;
+    }
+    let dir = temp_dir("version-1");
+    // A state dir left by an older build: its log parks the unmap walk
+    // in the version-1 format.
+    let pdigest = vrm::serve::digest::program_digest(&unmap()).expect("program digest");
+    let (mut store, _) = DurableStore::open(&dir, StoreOptions::default()).expect("open log");
+    store.append(&WalRecord::Park {
+        pdigest,
+        blob: version_1_blob(),
+    });
+    drop(store);
+
+    let corrupt = Counter::new(counters::CHECKPOINT_CORRUPT);
+    let c0 = corrupt.get();
+    let svc = Service::start(durable_cfg(&dir));
+    let (res, cached) = submit_wait(&svc, unmap(), budget(1 << 16));
+    svc.shutdown();
+    assert!(!cached);
+    assert_eq!(
+        corrupt.get() - c0,
+        1,
+        "the stale checkpoint must be counted"
+    );
+    assert!(!res.resumed, "a version-1 checkpoint must not be resumed");
+    assert_eq!(res.states_new, res.states, "the walk restarts from scratch");
+    // The same answer a daemon with no checkpoint gives.
+    let fresh = Service::start(ServeConfig {
+        workers: 1,
+        ..Default::default()
+    });
+    let (expected, _) = submit_wait(&fresh, unmap(), budget(1 << 16));
+    fresh.shutdown();
+    assert_eq!(res.verdict, Verdict::Pass, "{}", res.detail);
+    assert_eq!(res.verdict, expected.verdict);
+    assert_eq!(res.states, expected.states);
+    assert_eq!(res.detail, expected.detail);
+
+    let _ = std::fs::remove_dir_all(&dir);
 }
