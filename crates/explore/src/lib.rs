@@ -11,15 +11,19 @@
 //! A model implements [`StateSpace`]: it names a hashable `State`, lists
 //! the [`StateSpace::initial`] states, and expands any state into its
 //! successors through a [`Sink`] (also emitting terminal results —
-//! outcomes, violations — through the same sink). The engine owns the
-//! frontier, the visited set, limit/deadline enforcement, and
-//! statistics.
+//! outcomes, violations — through the same sink). A model with
+//! concurrent processes may also name them through the trait's
+//! reduction hooks. The engine owns the frontier, the visited set,
+//! limit/deadline enforcement, and statistics.
 //!
-//! Two interchangeable drivers sit behind [`explore`]:
+//! [`explore`] is the one entry point. Two interchangeable drivers sit
+//! behind it:
 //!
 //! * the **sequential** driver (`jobs <= 1`, the default) — a LIFO
 //!   worklist identical in visit order to the loops it replaced, so
-//!   every deterministic test is bit-for-bit unchanged;
+//!   every deterministic test is bit-for-bit unchanged. With
+//!   [`ExploreConfig::reduction`] on it also prunes with persistent
+//!   sets, sleep sets and symmetry (see `docs/REDUCTION.md`);
 //! * the **parallel** driver — `std::thread::scope` workers over
 //!   per-worker deques with work stealing, deduplicating through a
 //!   sharded `Mutex<HashSet>` visited set. Std only: the build
@@ -42,10 +46,10 @@
 //! absence proves nothing, which is why every verdict derived from a
 //! truncated walk must be [`Verdict::Unknown`], never pass/fail.
 //!
-//! The only remaining hard error is [`ExploreError::WorkerPanic`]: a
-//! panicking parallel worker is contained (its in-flight state and
-//! deque are handed to survivors, so the walk stays exhaustive), and
-//! the error surfaces only when *every* worker has died.
+//! A walk cannot fail. A panicking parallel worker is contained (its
+//! in-flight state and deque are handed to survivors, so the walk stays
+//! exhaustive); a run that loses *every* worker is rerun once on the
+//! sequential driver, which has no worker threads to lose.
 //!
 //! When the `VRM_FAULT_SEED` environment variable is set, the drivers
 //! poll the `vrm-faults` injector at their yield points and absorb the
@@ -61,6 +65,7 @@
 
 #![deny(missing_docs)]
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher, Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -148,6 +153,12 @@ pub struct ExploreConfig {
     /// Worker threads. `0` or `1` selects the sequential reference
     /// driver; `n > 1` the work-stealing parallel driver.
     pub jobs: usize,
+    /// Prune with the space's reduction hooks (see
+    /// `docs/REDUCTION.md`): persistent sets and symmetry in both
+    /// drivers, sleep sets in the sequential one. The reduced walk
+    /// reaches the same terminal states as the unreduced one. A
+    /// checkpoint must be resumed under the setting that produced it.
+    pub reduction: bool,
 }
 
 impl Default for ExploreConfig {
@@ -158,6 +169,7 @@ impl Default for ExploreConfig {
             deadline: None,
             max_memory: None,
             jobs: 1,
+            reduction: false,
         }
     }
 }
@@ -186,6 +198,12 @@ impl ExploreConfig {
     /// Sets the approximate visited-set byte budget (builder style).
     pub fn max_memory(mut self, bytes: usize) -> Self {
         self.max_memory = Some(bytes);
+        self
+    }
+
+    /// Turns reduction on or off (builder style).
+    pub fn reduction(mut self, on: bool) -> Self {
+        self.reduction = on;
         self
     }
 
@@ -502,16 +520,11 @@ impl std::fmt::Display for Verdict {
     }
 }
 
-/// Why an exploration failed outright. Budget exhaustion is *not* an
-/// error (it truncates — see [`Completeness`]); a walk fails by losing
-/// every parallel worker or by being fed an unusable checkpoint.
+/// Why a checkpoint could not be used. A walk itself never fails:
+/// budget exhaustion truncates (see [`Completeness`]) and a run that
+/// loses every parallel worker is rerun sequentially.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExploreError {
-    /// Every one of the run's parallel workers died to a panic in
-    /// `expand`; the payload is the worker count. Individual worker
-    /// deaths are contained (their work is handed to survivors) and do
-    /// not surface.
-    WorkerPanic(usize),
     /// A serialized VRMCKPT1 checkpoint failed validation — see
     /// [`CheckpointFault`] for what exactly was wrong. Surfaced by
     /// [`ResumeState::try_from_bytes`]; a service holding checkpoints
@@ -557,9 +570,6 @@ impl std::fmt::Display for CheckpointFault {
 impl std::fmt::Display for ExploreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ExploreError::WorkerPanic(n) => {
-                write!(f, "state-space exploration lost all {n} parallel workers")
-            }
             ExploreError::CorruptCheckpoint(fault) => {
                 write!(f, "corrupt VRMCKPT1 checkpoint: {fault}")
             }
@@ -612,12 +622,45 @@ impl<S, E> Sink<S, E> {
 }
 
 /// A model exposed to the engine: initial states plus a successor
-/// relation.
+/// relation, and optionally the processes and dependencies that
+/// [`ExploreConfig::reduction`] prunes with.
 ///
 /// `expand` takes `&self`, so any bookkeeping a model used to do
 /// through `&mut self` (ghost violations, truncation flags) is emitted
 /// through the [`Sink`] instead — that is what makes one implementation
 /// serve both the sequential and the parallel driver.
+///
+/// # Reduction hooks
+///
+/// The provided methods describe a space with no named processes:
+/// [`StateSpace::enabled`] is empty, so every state is expanded whole
+/// through `expand`, as in an unreduced walk. A space that names its
+/// processes must keep the contract that makes reduction sound (see
+/// `docs/REDUCTION.md`):
+///
+/// * `expand(s)` is exactly "emit if [`StateSpace::enabled`] is empty,
+///   else the union of [`StateSpace::expand_proc`] over every enabled
+///   process" — the reduced drivers interleave per-process expansions
+///   and must reconstruct the full expansion from them;
+/// * [`StateSpace::now`] over-approximates every token any *currently
+///   possible* transition of the process may touch (including
+///   transitions whose enabledness depends on global state — if
+///   another process's write could enable or disable a move, that
+///   location must be in `now`);
+/// * [`StateSpace::future`] over-approximates `now` over every state
+///   the process can ever reach from here;
+/// * emissions happen only at states with no enabled processes (plus
+///   process-insensitive error/truncation markers) — the reduced
+///   drivers preserve the set of terminal states reached, not the set
+///   of paths;
+/// * [`StateSpace::canon`] maps a state to a strictly-preferred member
+///   of its symmetry orbit (or `None` when the state is already the
+///   representative), and [`StateSpace::orbit`] lists the *other*
+///   members of the orbit, so terminal emissions can be re-rendered for
+///   every symmetric variant the walk collapsed.
+///
+/// The footprint and symmetry hooks default to the conservative answer
+/// (top footprints, no symmetry), which prunes nothing.
 pub trait StateSpace: Sync {
     /// One reachable configuration of the model.
     type State: Clone + Eq + Hash + Send;
@@ -630,6 +673,46 @@ pub trait StateSpace: Sync {
     /// Pushes every successor of `state` (and any emissions) into the
     /// sink. A state with no successors is terminal.
     fn expand(&self, state: &Self::State, sink: &mut Sink<Self::State, Self::Emit>);
+
+    /// Process ids that can take a step from `state`; empty when the
+    /// state is terminal/emitting, and always empty for a space that
+    /// names no processes. Ids must be `< 64` for the sleep-set driver
+    /// to track them (larger ids are safe but get no sleep pruning).
+    fn enabled(&self, _state: &Self::State) -> Vec<usize> {
+        Vec::new()
+    }
+
+    /// Pushes the successors (and emissions) contributed by process
+    /// `p` alone — one slice of what [`StateSpace::expand`] would do.
+    fn expand_proc(
+        &self,
+        _state: &Self::State,
+        _p: usize,
+        _sink: &mut Sink<Self::State, Self::Emit>,
+    ) {
+    }
+
+    /// Footprint of every transition process `p` might take *now*.
+    fn now(&self, _state: &Self::State, _p: usize) -> Footprint {
+        Footprint::top()
+    }
+
+    /// Footprint of everything process `p` might ever do from here.
+    fn future(&self, _state: &Self::State, _p: usize) -> Footprint {
+        Footprint::top()
+    }
+
+    /// The orbit representative of `state` under the space's symmetry
+    /// group, or `None` when `state` already is the representative.
+    fn canon(&self, _state: &Self::State) -> Option<Self::State> {
+        None
+    }
+
+    /// The other members of `state`'s symmetry orbit (excluding
+    /// `state` itself); empty when the state's orbit is trivial.
+    fn orbit(&self, _state: &Self::State) -> Vec<Self::State> {
+        Vec::new()
+    }
 }
 
 /// The read/write token sets one process's next (or future) transitions
@@ -742,77 +825,17 @@ impl Footprint {
     }
 }
 
-/// A [`StateSpace`] that additionally names its concurrent processes
-/// and their dependencies, unlocking the reduced drivers behind
-/// [`explore_reduced`].
-///
-/// The contract that makes reduction sound (see `docs/REDUCTION.md`):
-///
-/// * `expand(s)` is exactly "emit if [`Deps::enabled`] is empty, else
-///   the union of [`Deps::expand_proc`] over every enabled process" —
-///   the reduced drivers interleave per-process expansions and must
-///   reconstruct the full expansion from them;
-/// * [`Deps::now`] over-approximates every token any *currently
-///   possible* transition of the process may touch (including
-///   transitions whose enabledness depends on global state — if
-///   another process's write could enable or disable a move, that
-///   location must be in `now`);
-/// * [`Deps::future`] over-approximates `now` over every state the
-///   process can ever reach from here;
-/// * emissions happen only at states with no enabled processes (plus
-///   process-insensitive error/truncation markers) — the reduced
-///   drivers preserve the set of terminal states reached, not the set
-///   of paths;
-/// * [`Deps::canon`] maps a state to a strictly-preferred member of
-///   its symmetry orbit (or `None` when the state is already the
-///   representative), and [`Deps::orbit`] lists the *other* members of
-///   the orbit, so terminal emissions can be re-rendered for every
-///   symmetric variant the walk collapsed.
-///
-/// Every hook except `enabled`/`expand_proc` has a conservative
-/// default (top footprints, no symmetry) that degrades the reduced
-/// walk to the exhaustive one.
-pub trait Deps: StateSpace {
-    /// Process ids that can take a step from `state`; empty exactly
-    /// when the state is terminal/emitting. Ids must be `< 64` for the
-    /// sleep-set driver to track them (larger ids are safe but get no
-    /// sleep pruning).
-    fn enabled(&self, state: &Self::State) -> Vec<usize>;
-
-    /// Pushes the successors (and emissions) contributed by process
-    /// `p` alone — one slice of what [`StateSpace::expand`] would do.
-    fn expand_proc(&self, state: &Self::State, p: usize, sink: &mut Sink<Self::State, Self::Emit>);
-
-    /// Footprint of every transition process `p` might take *now*.
-    fn now(&self, _state: &Self::State, _p: usize) -> Footprint {
-        Footprint::top()
-    }
-
-    /// Footprint of everything process `p` might ever do from here.
-    fn future(&self, _state: &Self::State, _p: usize) -> Footprint {
-        Footprint::top()
-    }
-
-    /// The orbit representative of `state` under the space's symmetry
-    /// group, or `None` when `state` already is the representative.
-    fn canon(&self, _state: &Self::State) -> Option<Self::State> {
-        None
-    }
-
-    /// The other members of `state`'s symmetry orbit (excluding
-    /// `state` itself); empty when the state's orbit is trivial.
-    fn orbit(&self, _state: &Self::State) -> Vec<Self::State> {
-        Vec::new()
-    }
-}
-
 /// Picks a process whose singleton `{p}` is a sound ample set at
 /// `state`: `now(p)` must be independent of `future(q)` for every
 /// other enabled `q` — then no other process can ever perform a step
 /// that conflicts with (enables, disables, or fails to commute with)
 /// `p`'s next move, so exploring only `p` first loses no terminal
 /// state. Returns `None` when no singleton qualifies (full expansion).
-fn ample_singleton<SP: Deps>(space: &SP, state: &SP::State, enabled: &[usize]) -> Option<usize> {
+fn ample_singleton<SP: StateSpace>(
+    space: &SP,
+    state: &SP::State,
+    enabled: &[usize],
+) -> Option<usize> {
     if enabled.len() <= 1 {
         return None;
     }
@@ -828,48 +851,52 @@ fn ample_singleton<SP: Deps>(space: &SP, state: &SP::State, enabled: &[usize]) -
     None
 }
 
-/// Expands a state through the space's *whole-state* [`StateSpace::expand`],
-/// closing emissions over the state's symmetry orbit: the walk only
-/// kept the orbit representative, so the emissions of every collapsed
-/// variant are re-rendered here. Used for terminals (no enabled
-/// process) and for cross-process dead ends — states where every
-/// per-process expansion yielded nothing, but the whole-state expand
-/// may still emit (e.g. a global-stall marker). Successors accidentally
-/// pushed by an orbit image are discarded — such states have none by
-/// contract.
-fn expand_terminal<SP: Deps>(space: &SP, state: &SP::State, sink: &mut Sink<SP::State, SP::Emit>) {
-    space.expand(state, sink);
-    let mark = sink.succ.len();
-    for image in space.orbit(state) {
-        space.expand(&image, sink);
+/// The orbit representative of `state` when it is not `state` itself,
+/// counting the replacement.
+fn canon_counted<SP: StateSpace>(space: &SP, state: &SP::State) -> Option<SP::State> {
+    let c = space.canon(state);
+    if c.is_some() {
+        OBS_ORBIT_COLLAPSED.add(1);
     }
-    sink.succ.truncate(mark);
+    c
 }
 
-/// The adapter that makes a [`Deps`] space look like a plain
-/// [`StateSpace`] whose *graph is already reduced*: expansion picks an
-/// ample singleton where one exists, canonicalizes every successor to
-/// its orbit representative, and re-renders terminal emissions for the
+/// Expands a state whole through [`StateSpace::expand`]: every state of
+/// an unreduced walk, and under reduction the terminals (no enabled
+/// process) and the cross-process dead ends — states where every
+/// per-process expansion yielded nothing, but the whole-state expand
+/// may still emit (e.g. a global-stall marker). A reduced walk keeps
+/// only orbit representatives, so the emissions of every collapsed
+/// variant are re-rendered here too; successors pushed by an orbit
+/// image are discarded, because the representative's own successors
+/// cover them up to symmetry.
+fn expand_whole<SP: StateSpace>(
+    space: &SP,
+    state: &SP::State,
+    reduced: bool,
+    sink: &mut Sink<SP::State, SP::Emit>,
+) {
+    space.expand(state, sink);
+    if reduced {
+        let mark = sink.succ.len();
+        for image in space.orbit(state) {
+            space.expand(&image, sink);
+        }
+        sink.succ.truncate(mark);
+    }
+}
+
+/// The adapter that makes a space look, to the parallel driver, like a
+/// space whose *graph is already reduced*: expansion picks an ample
+/// singleton where one exists, canonicalizes every successor to its
+/// orbit representative, and re-renders terminal emissions for the
 /// whole orbit. Because `State`/`Emit` are unchanged, the parallel
 /// driver (and its checkpoint/resume machinery) runs it as-is.
-struct Reduced<'a, SP: Deps> {
+struct Reduced<'a, SP: StateSpace> {
     inner: &'a SP,
 }
 
-impl<SP: Deps> Reduced<'_, SP> {
-    /// Canonicalizes the successors pushed after `mark`, counting each
-    /// replacement.
-    fn canon_tail(&self, sink: &mut Sink<SP::State, SP::Emit>, mark: usize) {
-        for next in &mut sink.succ[mark..] {
-            if let Some(c) = self.inner.canon(next) {
-                OBS_ORBIT_COLLAPSED.add(1);
-                *next = c;
-            }
-        }
-    }
-}
-
-impl<SP: Deps> StateSpace for Reduced<'_, SP> {
+impl<SP: StateSpace> StateSpace for Reduced<'_, SP> {
     type State = SP::State;
     type Emit = SP::Emit;
 
@@ -877,24 +904,14 @@ impl<SP: Deps> StateSpace for Reduced<'_, SP> {
         self.inner
             .initial()
             .into_iter()
-            .map(|s| match self.inner.canon(&s) {
-                Some(c) => {
-                    OBS_ORBIT_COLLAPSED.add(1);
-                    c
-                }
-                None => s,
-            })
+            .map(|s| canon_counted(self.inner, &s).unwrap_or(s))
             .collect()
     }
 
     fn expand(&self, state: &Self::State, sink: &mut Sink<Self::State, Self::Emit>) {
-        let enabled = self.inner.enabled(state);
-        if enabled.is_empty() {
-            expand_terminal(self.inner, state, sink);
-            return;
-        }
         let mark_succ = sink.succ.len();
         let mark_emit = sink.emits.len();
+        let enabled = self.inner.enabled(state);
         match ample_singleton(self.inner, state, &enabled) {
             Some(p) => {
                 self.inner.expand_proc(state, p, sink);
@@ -921,12 +938,14 @@ impl<SP: Deps> StateSpace for Reduced<'_, SP> {
             }
         }
         if sink.succ.len() == mark_succ && sink.emits.len() == mark_emit {
-            // Cross-process dead end: no per-process expansion yielded
-            // anything, but the whole-state expand may still emit a
-            // marker (e.g. a global stall). Delegate to it, orbit-closed.
-            expand_terminal(self.inner, state, sink);
+            // A terminal, or a cross-process dead end.
+            expand_whole(self.inner, state, true, sink);
         }
-        self.canon_tail(sink, mark_succ);
+        for next in &mut sink.succ[mark_succ..] {
+            if let Some(c) = canon_counted(self.inner, next) {
+                *next = c;
+            }
+        }
     }
 }
 
@@ -951,7 +970,7 @@ pub fn digest128<S: Hash + ?Sized>(s: &S) -> u128 {
 /// without holding the past's states in memory.
 ///
 /// Produced by the drivers on truncation ([`Exploration::resume`]),
-/// consumed by [`explore_from`]. Emissions are **not** carried — the
+/// consumed by [`explore`]. Emissions are **not** carried — the
 /// caller unions each run's emissions itself (set-folding callers get
 /// this for free).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1146,7 +1165,7 @@ impl<S> ResumeState<S> {
 /// A type-erased, owned checkpoint: a [`ResumeState`] boxed behind
 /// `Any` so layers that cannot name a space's (often private) state
 /// type — a verdict cache, a job queue — can still hold and hand back
-/// the checkpoint for [`explore_from`]. The producing layer parks it
+/// the checkpoint for [`explore`]. The producing layer parks it
 /// with the concrete type and is the only one that can resume it; a
 /// mismatched `resume::<T>()` returns `None` rather than corrupting
 /// the walk.
@@ -1211,76 +1230,41 @@ pub struct Exploration<S, E> {
     /// Counters, timing and completeness for the walk.
     pub stats: ExploreStats,
     /// Present exactly when `stats.completeness` is truncated: feed it
-    /// back through [`explore_from`] (usually with larger budgets) to
+    /// back through [`explore`] (usually with larger budgets) to
     /// continue instead of restarting.
     pub resume: Option<ResumeState<S>>,
 }
 
-/// Result alias for the driver entry points.
-pub type ExploreResult<SP> =
-    Result<Exploration<<SP as StateSpace>::State, <SP as StateSpace>::Emit>, ExploreError>;
-
-/// Explores the whole state space of `space` under `cfg`, dispatching
-/// to the sequential or parallel driver on [`ExploreConfig::jobs`].
-pub fn explore<SP: StateSpace>(space: &SP, cfg: &ExploreConfig) -> ExploreResult<SP> {
-    explore_from(space, cfg, None)
-}
-
-/// Like [`explore`], but optionally resuming from a prior truncated
-/// run's checkpoint: the frontier is re-seeded from it and successors
-/// are deduplicated against the prior run's visited digests as well as
-/// this run's visited set. Budgets apply to *this* run's fresh states.
-pub fn explore_from<SP: StateSpace>(
+/// Explores the state space of `space` under `cfg`, optionally resuming
+/// a prior truncated run's checkpoint: the frontier is re-seeded from it
+/// and successors are deduplicated against the prior run's visited
+/// digests as well as this run's visited set. Budgets apply to *this*
+/// run's fresh states.
+///
+/// [`ExploreConfig::jobs`] picks the driver and
+/// [`ExploreConfig::reduction`] whether it prunes with the space's
+/// reduction hooks. A checkpoint from a reduced walk must be resumed
+/// reduced (and vice versa): its frontier states are orbit
+/// representatives of a reduced graph, which the unreduced walk does
+/// not generate. A parallel run that loses every worker to panics in
+/// `expand` is run again, once, on the sequential driver, which has no
+/// worker threads to lose.
+pub fn explore<SP: StateSpace>(
     space: &SP,
     cfg: &ExploreConfig,
     resume: Option<ResumeState<SP::State>>,
-) -> ExploreResult<SP> {
+) -> Exploration<SP::State, SP::Emit> {
     if cfg.jobs > 1 {
-        parallel_from(space, cfg, resume)
-    } else {
-        sequential_from(space, cfg, resume)
+        let ran = if cfg.reduction {
+            parallel(&Reduced { inner: space }, cfg, resume.as_ref())
+        } else {
+            parallel(space, cfg, resume.as_ref())
+        };
+        if let Some(ex) = ran {
+            return ex;
+        }
     }
-}
-
-/// Explores the state space of a [`Deps`] space with dynamic
-/// partial-order + symmetry reduction (see `docs/REDUCTION.md`):
-/// ample-singleton persistent sets and orbit canonicalization in both
-/// drivers, plus sleep-set pruning in the sequential one. The reduced
-/// walk reaches the same terminal states (and therefore emits the same
-/// outcome *set*) as [`explore`] on the same space.
-pub fn explore_reduced<SP: Deps>(space: &SP, cfg: &ExploreConfig) -> ExploreResult<SP> {
-    explore_reduced_from(space, cfg, None)
-}
-
-/// Like [`explore_reduced`], optionally resuming a checkpoint from a
-/// prior *reduced* run of the same space. A checkpoint produced by a
-/// reduced walk must be resumed reduced (and vice versa): the frontier
-/// states are orbit representatives of a reduced graph, which the
-/// unreduced walk does not generate.
-pub fn explore_reduced_from<SP: Deps>(
-    space: &SP,
-    cfg: &ExploreConfig,
-    resume: Option<ResumeState<SP::State>>,
-) -> ExploreResult<SP> {
-    if cfg.jobs > 1 {
-        parallel_from(&Reduced { inner: space }, cfg, resume)
-    } else {
-        sequential_reduced_from(space, cfg, resume, false)
-    }
-}
-
-#[doc(hidden)]
-/// Campaign-mutant hook (`dpor-sleep-set-never-blocks`): the reduced
-/// sequential walk with the sleep-set check disabled while the run
-/// still claims to be reduced. Exists so the mutation campaign can
-/// prove the deterministic `popped` bench anchors catch a silently
-/// disabled reduction; not part of the public API.
-pub fn explore_reduced_sleepless<SP: Deps>(space: &SP, cfg: &ExploreConfig) -> ExploreResult<SP> {
-    if cfg.jobs > 1 {
-        parallel_from(&Reduced { inner: space }, cfg, None)
-    } else {
-        sequential_reduced_from(space, cfg, None, true)
-    }
+    sequential(space, cfg, resume)
 }
 
 /// Estimated per-entry bookkeeping bytes of a hash-set entry (hash,
@@ -1393,135 +1377,6 @@ impl DeadlinePoller {
     }
 }
 
-/// The sequential reference driver: a LIFO worklist with a single
-/// visited set, field-for-field the loop the individual models used to
-/// hand-roll. Kept as the default so deterministic tests (witness
-/// traces, visit-order-sensitive diagnostics) are bit-for-bit
-/// unchanged. Never fails: budget exhaustion returns partial results.
-fn sequential_from<SP: StateSpace>(
-    space: &SP,
-    cfg: &ExploreConfig,
-    resume: Option<ResumeState<SP::State>>,
-) -> ExploreResult<SP> {
-    let start = Instant::now();
-    let _span = vrm_obs::span!("explore.sequential");
-    let obs = RunObs::if_tracing();
-    let mut stats = ExploreStats {
-        jobs: 1,
-        ..Default::default()
-    };
-    let (prior, seeded) = match resume {
-        Some(r) => (r.visited_digests, Some(r.frontier)),
-        None => (HashSet::new(), None),
-    };
-    let mut visited: HashSet<SP::State> = HashSet::new();
-    let mut stack: Vec<(SP::State, usize)> = Vec::new();
-    let mut emits: Vec<SP::Emit> = Vec::new();
-    match seeded {
-        Some(frontier) => stack = frontier,
-        None => {
-            for s in space.initial() {
-                if visited.insert(s.clone()) {
-                    stack.push((s, 0));
-                }
-            }
-        }
-    }
-    stats.frontier_peak = stack.len();
-    // Successors pruned by the depth bound: visited (so they dedup)
-    // but never expanded; parked for the resume frontier.
-    let mut deep: Vec<(SP::State, usize)> = Vec::new();
-    let mut trunc: Option<TruncationReason> = None;
-    let mut poller = cfg.deadline.map(|d| DeadlinePoller::new(start, d));
-    let mut sink = Sink::new();
-    loop {
-        if let Some(r) = budget_truncation::<SP::State>(visited.len(), cfg) {
-            record_truncation(&mut trunc, r);
-            break;
-        }
-        if poller.as_mut().is_some_and(|p| p.expired()) {
-            record_truncation(&mut trunc, TruncationReason::Deadline);
-            break;
-        }
-        if vrm_faults::poll(Site::Sequential) == Some(FaultKind::Delay) {
-            std::thread::sleep(FAULT_DELAY);
-        }
-        if let Some(o) = &obs {
-            if o.gate.due() {
-                vrm_obs::emit_metrics(
-                    "explore.sequential",
-                    &[("frontier_len", stack.len() as u64)],
-                );
-            }
-        }
-        let Some((state, depth)) = stack.pop() else {
-            break;
-        };
-        stats.popped += 1;
-        match &obs {
-            Some(o) => {
-                let t = Instant::now();
-                space.expand(&state, &mut sink);
-                o.expand.record(t.elapsed());
-            }
-            None => space.expand(&state, &mut sink),
-        }
-        emits.append(&mut sink.emits);
-        if sink.halted {
-            sink.succ.clear();
-            break;
-        }
-        for next in sink.succ.drain(..) {
-            if !prior.is_empty() && prior.contains(&digest128(&next)) {
-                stats.dedup_hits += 1;
-                continue;
-            }
-            if !visited.insert(next.clone()) {
-                stats.dedup_hits += 1;
-                continue;
-            }
-            if cfg.max_depth.is_some_and(|md| depth + 1 > md) {
-                deep.push((next, depth + 1));
-                record_truncation(&mut trunc, TruncationReason::DepthLimit);
-                continue;
-            }
-            stack.push((next, depth + 1));
-            stats.pushed += 1;
-            stats.frontier_peak = stats.frontier_peak.max(stack.len());
-        }
-    }
-    stats.states = visited.len();
-    stats.wall_ns = saturating_ns(start.elapsed());
-    OBS_POPPED.add(stats.popped as u64);
-    OBS_PUSHED.add(stats.pushed as u64);
-    OBS_DEDUP.add(stats.dedup_hits as u64);
-    if let Some(o) = &obs {
-        o.finish("explore.sequential");
-    }
-    let resume_out = match trunc {
-        None => None,
-        Some(reason) => {
-            let mut frontier = stack;
-            frontier.append(&mut deep);
-            let mut digests = prior;
-            digests.extend(visited.iter().map(digest128));
-            stats.completeness = Completeness::Truncated {
-                reason,
-                frontier_len: frontier.len(),
-            };
-            Some(ResumeState {
-                frontier,
-                visited_digests: digests,
-            })
-        }
-    };
-    Ok(Exploration {
-        emits,
-        stats,
-        resume: resume_out,
-    })
-}
-
 /// Iterates the process ids set in a sleep mask.
 fn mask_bits(mask: u64) -> impl Iterator<Item = usize> {
     (0..64).filter(move |i| mask & (1u64 << i) != 0)
@@ -1537,85 +1392,139 @@ fn sleep_bit(p: usize) -> u64 {
     }
 }
 
-/// The reduced sequential driver: the LIFO worklist of
-/// [`sequential_from`] extended with ample-singleton persistent sets,
-/// orbit canonicalization, and sleep sets (Godefroid-style, adapted to
-/// a stateful search).
+/// The sequential driver's frontier and bookkeeping.
+struct SeqWalk<S> {
+    max_depth: Option<usize>,
+    /// Digests of the states a resumed checkpoint had visited.
+    prior: HashSet<u128>,
+    /// State → the sleep mask it was (last) expanded under.
+    visited: HashMap<S, u64>,
+    /// Unexpanded `(state, depth, sleep mask)` entries.
+    stack: Vec<(S, usize, u64)>,
+    /// Successors pruned by the depth bound: visited (so they dedup)
+    /// but never expanded; parked for the resume frontier.
+    deep: Vec<(S, usize)>,
+    trunc: Option<TruncationReason>,
+    stats: ExploreStats,
+}
+
+impl<S: Clone + Eq + Hash> SeqWalk<S> {
+    /// Queues a successor reached at `depth` under sleep mask `sleep`,
+    /// unless a prior run reached it, or this run already did under a
+    /// mask that sleeps no more processes.
+    fn admit(&mut self, next: S, depth: usize, sleep: u64) {
+        if !self.prior.is_empty() && self.prior.contains(&digest128(&next)) {
+            self.stats.dedup_hits += 1;
+            return;
+        }
+        let mask = match self.visited.entry(next.clone()) {
+            Entry::Occupied(mut e) => {
+                let stored = *e.get();
+                if stored & !sleep == 0 {
+                    // Already expanded under an equal-or-more-awake
+                    // mask: covered.
+                    self.stats.dedup_hits += 1;
+                    return;
+                }
+                e.insert(stored & sleep);
+                stored & sleep
+            }
+            Entry::Vacant(e) => *e.insert(sleep),
+        };
+        if self.max_depth.is_some_and(|md| depth > md) {
+            self.deep.push((next, depth));
+            record_truncation(&mut self.trunc, TruncationReason::DepthLimit);
+            return;
+        }
+        self.stack.push((next, depth, mask));
+        self.stats.pushed += 1;
+        self.stats.frontier_peak = self.stats.frontier_peak.max(self.stack.len());
+    }
+}
+
+/// The sequential reference driver: a LIFO worklist with a single
+/// visited map, field-for-field the loop the individual models used to
+/// hand-roll. Kept as the default so deterministic tests (witness
+/// traces, visit-order-sensitive diagnostics) are bit-for-bit
+/// unchanged. Never fails: budget exhaustion returns partial results.
 ///
-/// Each frontier entry carries a *sleep mask*: the set of processes
-/// whose every move from this state is already covered by an earlier
-/// sibling branch, so expanding them here would only re-derive
-/// interleavings the walk has seen. The visited map remembers the mask
-/// each state was expanded under; re-reaching a state with a mask that
-/// sleeps *fewer* processes re-expands it under the intersection
-/// (masks only shrink, so this terminates), which is what keeps
-/// pruning sound when the same state is reached along paths with
-/// different coverage obligations.
+/// Unreduced, every state is expanded once, whole. Under
+/// [`ExploreConfig::reduction`] a state whose space names enabled
+/// processes is expanded process by process instead, with
+/// ample-singleton persistent sets, orbit canonicalization, and sleep
+/// sets (Godefroid-style, adapted to a stateful search). Each frontier
+/// entry carries a *sleep mask*: the set of processes whose every move
+/// from this state is already covered by an earlier sibling branch, so
+/// expanding them here would only re-derive interleavings the walk has
+/// seen. The visited map remembers the mask each state was expanded
+/// under; re-reaching a state with a mask that sleeps *fewer* processes
+/// re-expands it under the intersection (masks only shrink, so this
+/// terminates), which is what keeps pruning sound when the same state
+/// is reached along paths with different coverage obligations.
+/// Unreduced, every mask is empty and the map is a plain visited set.
 ///
-/// On truncation the checkpoint carries the remnant frontier plus the
-/// digests of **only the frontier states themselves** — not the full
-/// visited set: a sleep-pruned state's coverage argument leans on
-/// sibling subtrees that may themselves have been cut by the budget,
-/// so the resumed run must be free to re-walk interior states. The
-/// frontier states are safe to deduplicate against because the resumed
-/// run seeds them all-awake and expands them fully. (The parallel
-/// reduced driver explores a *fixed* reduced graph and keeps the
-/// normal full-visited-set resume.)
-fn sequential_reduced_from<SP: Deps>(
+/// On truncation an unreduced walk's checkpoint carries the digests of
+/// every visited state. A reduced walk's carries the digests of **only
+/// the frontier states themselves**: a sleep-pruned state's coverage
+/// argument leans on sibling subtrees that may themselves have been
+/// cut by the budget, so the resumed run must be free to re-walk
+/// interior states. The frontier states are safe to deduplicate
+/// against because the resumed run seeds them all-awake and expands
+/// them fully. (The parallel driver explores a *fixed* reduced graph
+/// and keeps the full visited set either way.)
+fn sequential<SP: StateSpace>(
     space: &SP,
     cfg: &ExploreConfig,
     resume: Option<ResumeState<SP::State>>,
-    sleep_disabled: bool,
-) -> ExploreResult<SP> {
+) -> Exploration<SP::State, SP::Emit> {
     let start = Instant::now();
-    let _span = vrm_obs::span!("explore.sequential_reduced");
+    let reduced = cfg.reduction;
+    let _span = vrm_obs::span!("explore.sequential", reduction = u64::from(reduced));
     let obs = RunObs::if_tracing();
-    let mut stats = ExploreStats {
-        jobs: 1,
-        ..Default::default()
+    let mut walk = SeqWalk {
+        max_depth: cfg.max_depth,
+        prior: HashSet::new(),
+        visited: HashMap::new(),
+        stack: Vec::new(),
+        deep: Vec::new(),
+        trunc: None,
+        stats: ExploreStats {
+            jobs: 1,
+            ..Default::default()
+        },
     };
-    let (prior, seeded) = match resume {
-        Some(r) => (r.visited_digests, Some(r.frontier)),
-        None => (HashSet::new(), None),
-    };
-    // State → the sleep mask it was (last) expanded under.
-    let mut visited: HashMap<SP::State, u64> = HashMap::new();
-    let mut stack: Vec<(SP::State, usize, u64)> = Vec::new();
-    let mut emits: Vec<SP::Emit> = Vec::new();
-    match seeded {
-        Some(frontier) => {
+    match resume {
+        Some(r) => {
             // Resumed frontier states get the all-awake mask: their
             // sibling coverage may be gone, so re-explore everything.
-            stack = frontier.into_iter().map(|(s, d)| (s, d, 0u64)).collect();
+            walk.prior = r.visited_digests;
+            walk.stack = r.frontier.into_iter().map(|(s, d)| (s, d, 0)).collect();
         }
         None => {
             for s in space.initial() {
-                let s = match space.canon(&s) {
-                    Some(c) => {
-                        OBS_ORBIT_COLLAPSED.add(1);
-                        c
-                    }
-                    None => s,
+                let s = if reduced {
+                    canon_counted(space, &s).unwrap_or(s)
+                } else {
+                    s
                 };
-                if let std::collections::hash_map::Entry::Vacant(e) = visited.entry(s.clone()) {
+                if let Entry::Vacant(e) = walk.visited.entry(s.clone()) {
                     e.insert(0);
-                    stack.push((s, 0, 0));
+                    walk.stack.push((s, 0, 0));
                 }
             }
         }
     }
-    stats.frontier_peak = stack.len();
-    let mut deep: Vec<(SP::State, usize)> = Vec::new();
-    let mut trunc: Option<TruncationReason> = None;
+    walk.stats.frontier_peak = walk.stack.len();
+    let mut emits: Vec<SP::Emit> = Vec::new();
     let mut poller = cfg.deadline.map(|d| DeadlinePoller::new(start, d));
     let mut sink = Sink::new();
     'walk: loop {
-        if let Some(r) = budget_truncation::<SP::State>(visited.len(), cfg) {
-            record_truncation(&mut trunc, r);
+        if let Some(r) = budget_truncation::<SP::State>(walk.visited.len(), cfg) {
+            record_truncation(&mut walk.trunc, r);
             break;
         }
         if poller.as_mut().is_some_and(|p| p.expired()) {
-            record_truncation(&mut trunc, TruncationReason::Deadline);
+            record_truncation(&mut walk.trunc, TruncationReason::Deadline);
             break;
         }
         if vrm_faults::poll(Site::Sequential) == Some(FaultKind::Delay) {
@@ -1624,143 +1533,111 @@ fn sequential_reduced_from<SP: Deps>(
         if let Some(o) = &obs {
             if o.gate.due() {
                 vrm_obs::emit_metrics(
-                    "explore.sequential_reduced",
-                    &[("frontier_len", stack.len() as u64)],
+                    "explore.sequential",
+                    &[("frontier_len", walk.stack.len() as u64)],
                 );
             }
         }
-        let Some((state, depth, sleep)) = stack.pop() else {
+        let Some((state, depth, sleep)) = walk.stack.pop() else {
             break;
         };
-        stats.popped += 1;
+        walk.stats.popped += 1;
         let t_expand = obs.as_ref().map(|_| Instant::now());
-        let enabled = space.enabled(&state);
-        if enabled.is_empty() {
-            expand_terminal(space, &state, &mut sink);
-            emits.append(&mut sink.emits);
-            sink.succ.clear();
-            if let (Some(o), Some(t)) = (&obs, t_expand) {
-                o.expand.record(t.elapsed());
-            }
-            if sink.halted {
-                break;
-            }
-            continue;
-        }
-        // Sleep masks only work for process ids < 64; wider spaces run
-        // ample+canon only.
-        let maskable = !sleep_disabled && enabled.iter().all(|&p| p < 64);
-        let sleep = if maskable { sleep } else { 0 };
-        let mut base: Vec<usize> = match ample_singleton(space, &state, &enabled) {
-            Some(p) => vec![p],
-            None => enabled.clone(),
+        let enabled = if reduced {
+            space.enabled(&state)
+        } else {
+            Vec::new()
         };
-        // An ample singleton that yields nothing (or only spins in
-        // place) is stuck; the stuckness is detected before its (empty)
-        // expansion is committed, so restarting the pass with the full
-        // enabled set is clean.
-        let mut pass_yielded = false;
-        let mut pass_asleep;
-        'pass: loop {
-            let ample_cut = base.len() < enabled.len();
-            let asleep = base.iter().filter(|&&p| sleep & sleep_bit(p) != 0).count();
-            pass_asleep = asleep;
-            let explore_list: Vec<usize> = base
-                .iter()
-                .copied()
-                .filter(|&p| sleep & sleep_bit(p) == 0)
-                .collect();
-            if asleep > 0 {
-                OBS_SLEEP_PRUNED.add(asleep as u64);
-            }
-            let mut sleep_acc = sleep;
-            for &p in &explore_list {
-                let now_p = space.now(&state, p);
-                let mut child_sleep = 0u64;
-                if maskable {
-                    for q in mask_bits(sleep_acc) {
-                        if !space.now(&state, q).conflicts(&now_p) {
-                            child_sleep |= 1u64 << q;
+        let mut whole = enabled.is_empty();
+        if !whole {
+            // Sleep masks only work for process ids < 64; wider spaces
+            // run ample+canon only.
+            let maskable = enabled.iter().all(|&p| p < 64);
+            let sleep = if maskable { sleep } else { 0 };
+            let mut base: Vec<usize> = match ample_singleton(space, &state, &enabled) {
+                Some(p) => vec![p],
+                None => enabled.clone(),
+            };
+            // An ample singleton that yields nothing (or only spins in
+            // place) is stuck; the stuckness is detected before its
+            // (empty) expansion is committed, so restarting the pass
+            // with the full enabled set is clean.
+            let mut pass_yielded = false;
+            let mut pass_asleep;
+            'pass: loop {
+                let ample_cut = base.len() < enabled.len();
+                let asleep = base.iter().filter(|&&p| sleep & sleep_bit(p) != 0).count();
+                pass_asleep = asleep;
+                let explore_list: Vec<usize> = base
+                    .iter()
+                    .copied()
+                    .filter(|&p| sleep & sleep_bit(p) == 0)
+                    .collect();
+                if asleep > 0 {
+                    OBS_SLEEP_PRUNED.add(asleep as u64);
+                }
+                let mut sleep_acc = sleep;
+                for &p in &explore_list {
+                    let now_p = space.now(&state, p);
+                    let mut child_sleep = 0u64;
+                    if maskable {
+                        for q in mask_bits(sleep_acc) {
+                            if !space.now(&state, q).conflicts(&now_p) {
+                                child_sleep |= 1u64 << q;
+                            }
                         }
                     }
-                }
-                let mark_succ = sink.succ.len();
-                let mark_emit = sink.emits.len();
-                space.expand_proc(&state, p, &mut sink);
-                let fresh = &sink.succ[mark_succ..];
-                let yielded = !fresh.is_empty() || sink.emits.len() > mark_emit;
-                let self_loop_only = !fresh.is_empty() && fresh.iter().all(|n| *n == state);
-                if ample_cut && (!yielded || self_loop_only) {
-                    sink.succ.truncate(mark_succ);
-                    sink.emits.truncate(mark_emit);
-                    base = enabled.clone();
-                    pass_yielded = false;
-                    continue 'pass;
-                }
-                pass_yielded |= yielded;
-                for next in sink.succ.drain(mark_succ..) {
-                    let (next, next_sleep) = match space.canon(&next) {
-                        Some(c) => {
+                    let mark_succ = sink.succ.len();
+                    let mark_emit = sink.emits.len();
+                    space.expand_proc(&state, p, &mut sink);
+                    let fresh = &sink.succ[mark_succ..];
+                    let yielded = !fresh.is_empty() || sink.emits.len() > mark_emit;
+                    let self_loop_only = !fresh.is_empty() && fresh.iter().all(|n| *n == state);
+                    if ample_cut && (!yielded || self_loop_only) {
+                        sink.succ.truncate(mark_succ);
+                        sink.emits.truncate(mark_emit);
+                        base = enabled.clone();
+                        pass_yielded = false;
+                        continue 'pass;
+                    }
+                    pass_yielded |= yielded;
+                    for next in sink.succ.drain(mark_succ..) {
+                        match canon_counted(space, &next) {
                             // Canonicalization permutes process ids, so
                             // the child's sleep obligations no longer
                             // line up: wake everything.
-                            OBS_ORBIT_COLLAPSED.add(1);
-                            (c, 0u64)
+                            Some(c) => walk.admit(c, depth + 1, 0),
+                            None => walk.admit(next, depth + 1, child_sleep),
                         }
-                        None => (next, child_sleep),
-                    };
-                    if !prior.is_empty() && prior.contains(&digest128(&next)) {
-                        stats.dedup_hits += 1;
-                        continue;
                     }
-                    let merged = match visited.entry(next.clone()) {
-                        std::collections::hash_map::Entry::Occupied(mut e) => {
-                            let stored = *e.get();
-                            if stored & !next_sleep == 0 {
-                                // Already expanded under an
-                                // equal-or-more-awake mask: covered.
-                                stats.dedup_hits += 1;
-                                continue;
-                            }
-                            let merged = stored & next_sleep;
-                            e.insert(merged);
-                            merged
-                        }
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert(next_sleep);
-                            next_sleep
-                        }
-                    };
-                    if cfg.max_depth.is_some_and(|md| depth + 1 > md) {
-                        deep.push((next, depth + 1));
-                        record_truncation(&mut trunc, TruncationReason::DepthLimit);
-                        continue;
+                    emits.append(&mut sink.emits);
+                    if sink.halted {
+                        break 'walk;
                     }
-                    stack.push((next, depth + 1, merged));
-                    stats.pushed += 1;
-                    stats.frontier_peak = stats.frontier_peak.max(stack.len());
+                    sleep_acc |= sleep_bit(p);
                 }
-                emits.append(&mut sink.emits);
-                if sink.halted {
-                    break 'walk;
+                if ample_cut {
+                    OBS_PERSISTENT_CUT.add((enabled.len() - 1) as u64);
                 }
-                sleep_acc |= sleep_bit(p);
+                break;
             }
-            if ample_cut {
-                OBS_PERSISTENT_CUT.add((enabled.len() - 1) as u64);
-            }
-            break;
+            // Cross-process dead end: nothing slept, nothing yielded.
+            whole = !pass_yielded && pass_asleep == 0;
         }
-        if !pass_yielded && pass_asleep == 0 {
-            // Cross-process dead end (nothing slept, nothing yielded):
-            // the whole-state expand may still emit a marker (e.g. a
-            // global stall). Delegate to it, orbit-closed; successors
-            // are none by contract.
-            expand_terminal(space, &state, &mut sink);
+        if whole {
+            expand_whole(space, &state, reduced, &mut sink);
             emits.append(&mut sink.emits);
-            sink.succ.clear();
             if sink.halted {
-                break 'walk;
+                sink.succ.clear();
+                break;
+            }
+            for next in sink.succ.drain(..) {
+                let next = if reduced {
+                    canon_counted(space, &next).unwrap_or(next)
+                } else {
+                    next
+                };
+                walk.admit(next, depth + 1, 0);
             }
         }
         if let (Some(o), Some(t)) = (&obs, t_expand) {
@@ -1768,13 +1645,22 @@ fn sequential_reduced_from<SP: Deps>(
         }
     }
     emits.append(&mut sink.emits);
+    let SeqWalk {
+        prior,
+        visited,
+        stack,
+        mut deep,
+        trunc,
+        mut stats,
+        ..
+    } = walk;
     stats.states = visited.len();
     stats.wall_ns = saturating_ns(start.elapsed());
     OBS_POPPED.add(stats.popped as u64);
     OBS_PUSHED.add(stats.pushed as u64);
     OBS_DEDUP.add(stats.dedup_hits as u64);
     if let Some(o) = &obs {
-        o.finish("explore.sequential_reduced");
+        o.finish("explore.sequential");
     }
     let resume_out = match trunc {
         None => None,
@@ -1786,23 +1672,24 @@ fn sequential_reduced_from<SP: Deps>(
                 reason,
                 frontier_len: frontier.len(),
             };
-            // Only the frontier's own digests — interior states must
-            // stay re-walkable (see the driver doc comment), but the
-            // frontier states are re-expanded all-awake on resume, so
-            // advertising them keeps digest-membership checks on
-            // serialized checkpoints satisfiable.
-            let visited_digests = frontier.iter().map(|(s, _)| digest128(s)).collect();
+            let visited_digests = if reduced {
+                frontier.iter().map(|(s, _)| digest128(s)).collect()
+            } else {
+                let mut digests = prior;
+                digests.extend(visited.keys().map(digest128));
+                digests
+            };
             Some(ResumeState {
                 frontier,
                 visited_digests,
             })
         }
     };
-    Ok(Exploration {
+    Exploration {
         emits,
         stats,
         resume: resume_out,
-    })
+    }
 }
 
 /// The visited set of the parallel driver: `HashSet` shards behind
@@ -1877,23 +1764,25 @@ fn drain_to_survivors<S>(queues: &[Mutex<VecDeque<(S, usize)>>], me: usize) {
 /// only that worker: the containment handler requeues the in-flight
 /// state (parked in a per-worker slot for exactly this purpose) and
 /// drains the dead worker's deque to survivors, so the walk still
-/// visits every state. [`ExploreError::WorkerPanic`] surfaces only
-/// when the last worker dies.
-fn parallel_from<SP: StateSpace>(
+/// visits every state. The driver returns `None` only when the last
+/// worker dies; it borrows the checkpoint it resumes so that [`explore`]
+/// can then run the walk again sequentially.
+fn parallel<SP: StateSpace>(
     space: &SP,
     cfg: &ExploreConfig,
-    resume: Option<ResumeState<SP::State>>,
-) -> ExploreResult<SP> {
+    resume: Option<&ResumeState<SP::State>>,
+) -> Option<Exploration<SP::State, SP::Emit>> {
     let start = Instant::now();
     let jobs = cfg.jobs.max(2);
-    let _span = vrm_obs::span!("explore.parallel", jobs = jobs);
+    let _span = vrm_obs::span!(
+        "explore.parallel",
+        jobs = jobs,
+        reduction = u64::from(cfg.reduction)
+    );
     let obs = RunObs::if_tracing();
     let obs = obs.as_ref();
-    let (prior_set, seeded) = match resume {
-        Some(r) => (r.visited_digests, Some(r.frontier)),
-        None => (HashSet::new(), None),
-    };
-    let prior = &prior_set;
+    let no_prior = HashSet::new();
+    let prior = resume.map_or(&no_prior, |r| &r.visited_digests);
     let visited: ShardedVisited<SP::State> = ShardedVisited::new((jobs * 8).next_power_of_two());
     type WorkQueue<S> = Mutex<VecDeque<(S, usize)>>;
     let queues: Vec<WorkQueue<SP::State>> =
@@ -1918,9 +1807,9 @@ fn parallel_from<SP: StateSpace>(
     // frontier when resuming, from the initial states otherwise.
     {
         let mut count = 0usize;
-        match seeded {
-            Some(frontier) => {
-                for (i, item) in frontier.into_iter().enumerate() {
+        match resume {
+            Some(r) => {
+                for (i, item) in r.frontier.iter().cloned().enumerate() {
                     lock_tolerant(&queues[i % jobs]).push_back(item);
                     count += 1;
                 }
@@ -2142,7 +2031,7 @@ fn parallel_from<SP: StateSpace>(
     });
 
     if all_dead.load(Ordering::SeqCst) {
-        return Err(ExploreError::WorkerPanic(jobs));
+        return None;
     }
     let mut stats = ExploreStats {
         states: visited.len.load(Ordering::Relaxed),
@@ -2176,7 +2065,7 @@ fn parallel_from<SP: StateSpace>(
                     frontier.push(item);
                 }
             }
-            let mut digests = prior_set;
+            let mut digests = prior.clone();
             for shard in &visited.shards {
                 for s in lock_tolerant(shard).iter() {
                     digests.insert(digest128(s));
@@ -2192,125 +2081,11 @@ fn parallel_from<SP: StateSpace>(
             })
         }
     };
-    Ok(Exploration {
+    Some(Exploration {
         emits: all_emits,
         stats,
         resume: resume_out,
     })
-}
-
-/// Reruns a budget-truncated or worker-panicked exploration with
-/// escalating budgets until it completes, `max_retries` is spent, or
-/// the truncation is one escalation cannot fix (a deadline).
-///
-/// * `StateLimit` / `MemoryBudget` truncation: double the budget and
-///   **resume from the checkpoint** — prior work is reused, each
-///   attempt only explores fresh states.
-/// * `WorkerPanic` (all parallel workers died): fall back to the
-///   sequential driver, which cannot lose workers.
-///
-/// Emissions from every attempt are concatenated (set-folding callers
-/// dedup for free; after a worker-panic restart some emissions may
-/// repeat). The returned stats sum the attempts' counters; the
-/// completeness is the *final* attempt's — earlier truncations were
-/// recovered, not inherited.
-pub fn retry_with_escalation<SP: StateSpace>(
-    space: &SP,
-    cfg: &ExploreConfig,
-    max_retries: usize,
-) -> ExploreResult<SP> {
-    let mut cfg = *cfg;
-    let mut acc_emits: Vec<SP::Emit> = Vec::new();
-    let mut acc_stats = ExploreStats::default();
-    let mut resume: Option<ResumeState<SP::State>> = None;
-    let mut attempts = 0usize;
-    loop {
-        match explore_from(space, &cfg, resume.take()) {
-            Err(ExploreError::WorkerPanic(_)) if attempts < max_retries => {
-                attempts += 1;
-                cfg.jobs = 1;
-            }
-            Err(e) => return Err(e),
-            Ok(mut r) => {
-                acc_emits.append(&mut r.emits);
-                acc_stats.absorb(&r.stats);
-                let escalatable = matches!(
-                    r.stats.completeness,
-                    Completeness::Truncated {
-                        reason: TruncationReason::StateLimit | TruncationReason::MemoryBudget,
-                        ..
-                    }
-                );
-                if escalatable && attempts < max_retries && r.resume.is_some() {
-                    attempts += 1;
-                    cfg.max_states = cfg.max_states.saturating_mul(2);
-                    cfg.max_memory = cfg.max_memory.map(|m| m.saturating_mul(2));
-                    resume = r.resume;
-                    continue;
-                }
-                let completeness = r.stats.completeness;
-                acc_stats.completeness = completeness;
-                return Ok(Exploration {
-                    emits: acc_emits,
-                    stats: acc_stats,
-                    resume: r.resume,
-                });
-            }
-        }
-    }
-}
-
-/// [`retry_with_escalation`] over the **reduced** drivers: identical
-/// escalation policy (double truncated budgets and resume, fall back
-/// to one job after a worker panic), but each attempt walks the
-/// sleep-set/ample/orbit-reduced graph via [`explore_reduced_from`].
-/// Checkpoints stay within the reduced walk end to end, so the
-/// soundness story of a resumed reduced run (re-awakened frontier,
-/// re-walkable interior) is preserved across escalations.
-pub fn retry_with_escalation_reduced<SP: Deps>(
-    space: &SP,
-    cfg: &ExploreConfig,
-    max_retries: usize,
-) -> ExploreResult<SP> {
-    let mut cfg = *cfg;
-    let mut acc_emits: Vec<SP::Emit> = Vec::new();
-    let mut acc_stats = ExploreStats::default();
-    let mut resume: Option<ResumeState<SP::State>> = None;
-    let mut attempts = 0usize;
-    loop {
-        match explore_reduced_from(space, &cfg, resume.take()) {
-            Err(ExploreError::WorkerPanic(_)) if attempts < max_retries => {
-                attempts += 1;
-                cfg.jobs = 1;
-            }
-            Err(e) => return Err(e),
-            Ok(mut r) => {
-                acc_emits.append(&mut r.emits);
-                acc_stats.absorb(&r.stats);
-                let escalatable = matches!(
-                    r.stats.completeness,
-                    Completeness::Truncated {
-                        reason: TruncationReason::StateLimit | TruncationReason::MemoryBudget,
-                        ..
-                    }
-                );
-                if escalatable && attempts < max_retries && r.resume.is_some() {
-                    attempts += 1;
-                    cfg.max_states = cfg.max_states.saturating_mul(2);
-                    cfg.max_memory = cfg.max_memory.map(|m| m.saturating_mul(2));
-                    resume = r.resume;
-                    continue;
-                }
-                let completeness = r.stats.completeness;
-                acc_stats.completeness = completeness;
-                return Ok(Exploration {
-                    emits: acc_emits,
-                    stats: acc_stats,
-                    resume: r.resume,
-                });
-            }
-        }
-    }
 }
 
 /// An embarrassingly parallel sweep over the index space `0..total`.
@@ -2567,8 +2342,8 @@ mod tests {
     }
 
     /// A space whose poisoned state ALWAYS panics: it serially kills
-    /// every worker that touches it, so the run must fail with
-    /// `WorkerPanic`.
+    /// every worker that touches it, so the parallel driver loses them
+    /// all.
     struct PoisonAlways;
 
     impl StateSpace for PoisonAlways {
@@ -2594,7 +2369,7 @@ mod tests {
     }
 
     fn exhaustive_emits<SP: StateSpace<State = u64, Emit = u64>>(space: &SP) -> BTreeSet<u64> {
-        let r = explore(space, &ExploreConfig::default()).unwrap();
+        let r = explore(space, &ExploreConfig::default(), None);
         assert!(r.stats.completeness.is_exhaustive());
         emit_set(&r)
     }
@@ -2602,7 +2377,7 @@ mod tests {
     #[test]
     fn hypercube_is_fully_explored_sequentially() {
         let space = Bits { n: 10 };
-        let r = explore(&space, &ExploreConfig::default()).unwrap();
+        let r = explore(&space, &ExploreConfig::default(), None);
         assert_eq!(r.stats.states, 1 << 10);
         assert_eq!(r.emits, vec![(1 << 10) - 1]);
         assert!(r.stats.completeness.is_exhaustive());
@@ -2613,9 +2388,9 @@ mod tests {
     #[test]
     fn parallel_matches_sequential() {
         let space = Bits { n: 12 };
-        let seq = explore(&space, &ExploreConfig::default()).unwrap();
+        let seq = explore(&space, &ExploreConfig::default(), None);
         for jobs in [2, 4, 8] {
-            let par = explore(&space, &ExploreConfig::default().jobs(jobs)).unwrap();
+            let par = explore(&space, &ExploreConfig::default().jobs(jobs), None);
             assert_eq!(par.stats.states, seq.stats.states, "jobs={jobs}");
             assert_eq!(emit_set(&par), emit_set(&seq), "jobs={jobs}");
             assert!(par.stats.completeness.is_exhaustive());
@@ -2638,22 +2413,322 @@ mod tests {
             return;
         }
         let space = Bits { n: 10 };
-        let seq = explore(&space, &ExploreConfig::default()).unwrap();
+        let seq = explore(&space, &ExploreConfig::default(), None);
         assert_eq!(seq.stats.popped, 1 << 10);
         assert_eq!(seq.stats.pushed, (1 << 10) - 1);
         assert_eq!(seq.stats.steals, 0);
         for jobs in [2, 4] {
-            let par = explore(&space, &ExploreConfig::default().jobs(jobs)).unwrap();
+            let par = explore(&space, &ExploreConfig::default().jobs(jobs), None);
             assert_eq!(par.stats.popped, seq.stats.popped, "jobs={jobs}");
             assert_eq!(par.stats.pushed, seq.stats.pushed, "jobs={jobs}");
             assert_eq!(par.stats.dedup_hits, seq.stats.dedup_hits, "jobs={jobs}");
         }
     }
 
+    /// The reference walker the drivers are checked against: a plain
+    /// LIFO worklist over a `HashSet`, with no budgets, resume, tracing,
+    /// faults or reduction. Returns the emission set and the number of
+    /// distinct states.
+    fn reference_walk<SP: StateSpace>(space: &SP) -> (BTreeSet<SP::Emit>, usize)
+    where
+        SP::Emit: Ord,
+    {
+        let mut visited = HashSet::new();
+        let mut stack = Vec::new();
+        for s in space.initial() {
+            if visited.insert(s.clone()) {
+                stack.push(s);
+            }
+        }
+        let mut emits = BTreeSet::new();
+        let mut sink = Sink::new();
+        while let Some(s) = stack.pop() {
+            space.expand(&s, &mut sink);
+            emits.extend(sink.emits.drain(..));
+            for next in sink.succ.drain(..) {
+                if visited.insert(next.clone()) {
+                    stack.push(next);
+                }
+            }
+        }
+        (emits, visited.len())
+    }
+
+    /// A space with real reduction hooks: `counters` independent
+    /// processes that each count to `limit` touching only their own
+    /// token, plus `racers` identical processes that each increment a
+    /// shared register non-atomically (load, then store), so the final
+    /// register value depends on the interleaving. Process ids start at
+    /// `first_id`; the racers are symmetric. Terminal states emit
+    /// themselves.
+    struct Procs {
+        counters: usize,
+        racers: usize,
+        limit: u8,
+        first_id: usize,
+    }
+
+    #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    struct ProcState {
+        counts: Vec<u8>,
+        /// Per racer: `(pc, register)`; `pc` 2 means done.
+        racers: Vec<(u8, u8)>,
+        shared: u8,
+    }
+
+    /// The footprint token of the shared register.
+    const SHARED: u64 = 1 << 32;
+
+    /// Every distinct arrangement of `v`.
+    fn arrangements<T: Clone + Ord>(v: &[T]) -> BTreeSet<Vec<T>> {
+        if v.len() <= 1 {
+            return BTreeSet::from([v.to_vec()]);
+        }
+        let mut out = BTreeSet::new();
+        for i in 0..v.len() {
+            let mut rest = v.to_vec();
+            let head = rest.remove(i);
+            for mut tail in arrangements(&rest) {
+                tail.insert(0, head.clone());
+                out.insert(tail);
+            }
+        }
+        out
+    }
+
+    impl StateSpace for Procs {
+        type State = ProcState;
+        type Emit = ProcState;
+
+        fn initial(&self) -> Vec<ProcState> {
+            vec![ProcState {
+                counts: vec![0; self.counters],
+                racers: vec![(0, 0); self.racers],
+                shared: 0,
+            }]
+        }
+
+        fn expand(&self, s: &ProcState, sink: &mut Sink<ProcState, ProcState>) {
+            let enabled = self.enabled(s);
+            if enabled.is_empty() {
+                sink.emit(s.clone());
+            }
+            for p in enabled {
+                self.expand_proc(s, p, sink);
+            }
+        }
+
+        fn enabled(&self, s: &ProcState) -> Vec<usize> {
+            let counters = (0..self.counters).filter(|&i| s.counts[i] < self.limit);
+            let racers = (0..self.racers)
+                .filter(|&i| s.racers[i].0 < 2)
+                .map(|i| self.counters + i);
+            counters.chain(racers).map(|i| self.first_id + i).collect()
+        }
+
+        fn expand_proc(&self, s: &ProcState, p: usize, sink: &mut Sink<ProcState, ProcState>) {
+            let mut next = s.clone();
+            match (p - self.first_id).checked_sub(self.counters) {
+                None => next.counts[p - self.first_id] += 1,
+                Some(i) => match next.racers[i] {
+                    (0, _) => next.racers[i] = (1, s.shared),
+                    (_, reg) => {
+                        next.racers[i] = (2, reg);
+                        next.shared = reg + 1;
+                    }
+                },
+            }
+            sink.push(next);
+        }
+
+        fn now(&self, s: &ProcState, p: usize) -> Footprint {
+            let mut fp = Footprint::empty();
+            match (p - self.first_id).checked_sub(self.counters) {
+                None => fp.write(p as u64),
+                Some(i) if s.racers[i].0 == 0 => fp.read(SHARED),
+                Some(_) => fp.write(SHARED),
+            }
+            fp
+        }
+
+        fn future(&self, s: &ProcState, p: usize) -> Footprint {
+            let mut fp = self.now(s, p);
+            if fp.reads.contains(&SHARED) {
+                fp.write(SHARED);
+            }
+            fp
+        }
+
+        fn canon(&self, s: &ProcState) -> Option<ProcState> {
+            let mut c = s.clone();
+            c.racers.sort();
+            (c != *s).then_some(c)
+        }
+
+        fn orbit(&self, s: &ProcState) -> Vec<ProcState> {
+            arrangements(&s.racers)
+                .into_iter()
+                .filter(|r| *r != s.racers)
+                .map(|racers| ProcState {
+                    racers,
+                    ..s.clone()
+                })
+                .collect()
+        }
+    }
+
+    /// Forwards every hook to `inner`, counting whole-state expansions.
+    struct Counted<'a, SP> {
+        inner: &'a SP,
+        expands: AtomicUsize,
+    }
+
+    impl<SP: StateSpace> StateSpace for Counted<'_, SP> {
+        type State = SP::State;
+        type Emit = SP::Emit;
+
+        fn initial(&self) -> Vec<SP::State> {
+            self.inner.initial()
+        }
+
+        fn expand(&self, s: &SP::State, sink: &mut Sink<SP::State, SP::Emit>) {
+            self.expands.fetch_add(1, Ordering::Relaxed);
+            self.inner.expand(s, sink);
+        }
+
+        fn enabled(&self, s: &SP::State) -> Vec<usize> {
+            self.inner.enabled(s)
+        }
+
+        fn expand_proc(&self, s: &SP::State, p: usize, sink: &mut Sink<SP::State, SP::Emit>) {
+            self.inner.expand_proc(s, p, sink);
+        }
+
+        fn now(&self, s: &SP::State, p: usize) -> Footprint {
+            self.inner.now(s, p)
+        }
+
+        fn future(&self, s: &SP::State, p: usize) -> Footprint {
+            self.inner.future(s, p)
+        }
+
+        fn canon(&self, s: &SP::State) -> Option<SP::State> {
+            self.inner.canon(s)
+        }
+
+        fn orbit(&self, s: &SP::State) -> Vec<SP::State> {
+            self.inner.orbit(s)
+        }
+    }
+
+    fn procs(first_id: usize) -> Procs {
+        Procs {
+            counters: 2,
+            racers: 3,
+            limit: 2,
+            first_id,
+        }
+    }
+
+    /// Every driver, reduced or not, emits the reference walker's set;
+    /// an unreduced walk expands each popped state exactly once, and
+    /// pops exactly the reference walker's states.
+    fn check_against_reference<SP>(name: &str, space: &SP)
+    where
+        SP: StateSpace,
+        SP::Emit: Ord + std::fmt::Debug,
+    {
+        let exact = std::env::var("VRM_FAULT_SEED").is_err();
+        let (want, states) = reference_walk(space);
+        for jobs in [1usize, 2, 4] {
+            for reduction in [false, true] {
+                let counted = Counted {
+                    inner: space,
+                    expands: AtomicUsize::new(0),
+                };
+                let cfg = ExploreConfig::default().jobs(jobs).reduction(reduction);
+                let r = explore(&counted, &cfg, None);
+                let at = format!("{name} jobs={jobs} reduction={reduction}");
+                assert!(r.stats.completeness.is_exhaustive(), "{at}");
+                let got: BTreeSet<SP::Emit> = r.emits.into_iter().collect();
+                assert_eq!(got, want, "{at}");
+                if !reduction && exact {
+                    assert_eq!(r.stats.states, states, "{at}");
+                    assert_eq!(r.stats.popped, states, "{at}");
+                    assert_eq!(counted.expands.into_inner(), r.stats.popped, "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn drivers_match_the_reference_walker() {
+        check_against_reference("bits", &Bits { n: 8 });
+        check_against_reference("chain", &Chain { len: 50 });
+        check_against_reference("procs", &procs(0));
+        check_against_reference("procs past the sleep mask", &procs(64));
+    }
+
+    #[test]
+    fn hookless_spaces_expand_each_state_once_under_reduction() {
+        let space = Bits { n: 8 };
+        let counted = Counted {
+            inner: &space,
+            expands: AtomicUsize::new(0),
+        };
+        let r = explore(&counted, &ExploreConfig::default().reduction(true), None);
+        assert_eq!(r.stats.popped, 256);
+        assert_eq!(counted.expands.into_inner(), 256);
+    }
+
+    #[test]
+    fn reduction_prunes_the_hooked_space() {
+        let (_, states) = reference_walk(&procs(0));
+        // Ids past the sleep mask are never slept; ample sets and
+        // symmetry still prune.
+        for first_id in [0, 64] {
+            let cfg = ExploreConfig::default().reduction(true);
+            let popped = explore(&procs(first_id), &cfg, None).stats.popped;
+            assert!(
+                popped * 2 < states,
+                "ids from {first_id}: {popped} of {states}"
+            );
+        }
+    }
+
+    #[test]
+    fn truncated_reduced_walks_resume_to_the_same_outcomes() {
+        let space = procs(0);
+        let (want, _) = reference_walk(&space);
+        for jobs in [1usize, 2, 4] {
+            let mut cfg = ExploreConfig::with_max_states(4).jobs(jobs).reduction(true);
+            let mut got = BTreeSet::new();
+            let mut resume = None;
+            for round in 0.. {
+                assert!(round < 100, "jobs={jobs}: did not converge");
+                let r = explore(&space, &cfg, resume.take());
+                got.extend(r.emits);
+                let Some(ckpt) = r.resume else {
+                    break;
+                };
+                if jobs == 1 {
+                    // Only the frontier's own digests: interior states
+                    // must stay re-walkable.
+                    let frontier: HashSet<u128> =
+                        ckpt.frontier.iter().map(|(s, _)| digest128(s)).collect();
+                    assert_eq!(ckpt.visited_digests, frontier);
+                }
+                resume = Some(ckpt);
+                cfg.max_states *= 2;
+            }
+            assert_eq!(got, want, "jobs={jobs}");
+        }
+    }
+
     #[test]
     fn state_budget_truncates_with_partial_results_sequential() {
         let space = Chain { len: 1_000 };
-        let r = explore(&space, &ExploreConfig::with_max_states(10)).unwrap();
+        let r = explore(&space, &ExploreConfig::with_max_states(10), None);
         assert_eq!(
             r.stats.completeness,
             Completeness::Truncated {
@@ -2680,7 +2755,7 @@ mod tests {
             jobs: 4,
             ..Default::default()
         };
-        let r = explore(&space, &cfg).unwrap();
+        let r = explore(&space, &cfg, None);
         assert!(
             matches!(
                 r.stats.completeness,
@@ -2701,7 +2776,7 @@ mod tests {
     fn memory_budget_truncates() {
         let space = Chain { len: 100_000 };
         let budget = approx_visited_bytes::<u64>(64);
-        let r = explore(&space, &ExploreConfig::default().max_memory(budget)).unwrap();
+        let r = explore(&space, &ExploreConfig::default().max_memory(budget), None);
         match r.stats.completeness {
             Completeness::Truncated {
                 reason: TruncationReason::MemoryBudget,
@@ -2744,7 +2819,7 @@ mod tests {
                         jobs,
                         ..Default::default()
                     };
-                    let part = explore(&all, &cfg).unwrap();
+                    let part = explore(&all, &cfg, None);
                     let got = emit_set(&part);
                     assert!(
                         got.is_subset(&full),
@@ -2765,7 +2840,7 @@ mod tests {
             max_depth: Some(3),
             ..Default::default()
         };
-        let r = explore(&space, &cfg).unwrap();
+        let r = explore(&space, &cfg, None);
         // All states of popcount <= 3 expanded, popcount-4 states
         // visited-but-pruned; the walk does not stop at first pruning.
         match r.stats.completeness {
@@ -2792,9 +2867,9 @@ mod tests {
                 max_depth: Some(3),
                 ..Default::default()
             },
-        )
-        .unwrap();
-        let resumed = explore_from(&space, &ExploreConfig::default(), first.resume.take()).unwrap();
+            None,
+        );
+        let resumed = explore(&space, &ExploreConfig::default(), first.resume.take());
         assert!(resumed.stats.completeness.is_exhaustive());
         let mut all = emit_set(&first);
         all.extend(resumed.emits.iter().copied());
@@ -2812,7 +2887,7 @@ mod tests {
                 jobs,
                 ..Default::default()
             };
-            let r = explore(&space, &cfg).unwrap();
+            let r = explore(&space, &cfg, None);
             match r.stats.completeness {
                 Completeness::Truncated {
                     reason: TruncationReason::Deadline,
@@ -2834,7 +2909,7 @@ mod tests {
             step: Duration::from_millis(3),
         };
         let cfg = ExploreConfig::default().deadline(Duration::from_millis(1));
-        let r = explore(&space, &cfg).unwrap();
+        let r = explore(&space, &cfg, None);
         assert!(
             matches!(
                 r.stats.completeness,
@@ -2857,7 +2932,7 @@ mod tests {
     fn completed_walk_ignores_generous_deadline() {
         let space = Bits { n: 8 };
         let cfg = ExploreConfig::default().deadline(Duration::from_secs(3600));
-        let r = explore(&space, &cfg).unwrap();
+        let r = explore(&space, &cfg, None);
         assert_eq!(r.stats.states, 256);
         assert!(r.stats.completeness.is_exhaustive());
     }
@@ -2873,7 +2948,7 @@ mod tests {
                 jobs,
                 ..Default::default()
             };
-            let r = explore(&space, &cfg).unwrap();
+            let r = explore(&space, &cfg, None);
             assert!(r.emits.contains(&10), "jobs={jobs}");
             assert!(r.stats.states < 100_000, "jobs={jobs}");
             // A halt is an intentional stop, not a budget truncation.
@@ -2918,7 +2993,7 @@ mod tests {
             let mut resume = None;
             let mut rounds = 0;
             loop {
-                let r = explore_from(&space, &cfg, resume.take()).unwrap();
+                let r = explore(&space, &cfg, resume.take());
                 got.extend(r.emits.iter().copied());
                 total_states += r.stats.states;
                 rounds += 1;
@@ -2941,13 +3016,13 @@ mod tests {
     #[test]
     fn checkpoint_bytes_roundtrip() {
         let space = Chain { len: 1_000 };
-        let r = explore(&space, &ExploreConfig::with_max_states(25)).unwrap();
+        let r = explore(&space, &ExploreConfig::with_max_states(25), None);
         let ckpt = r.resume.unwrap();
         let bytes = ckpt.to_bytes();
         let back = ResumeState::<u64>::from_bytes(&bytes).unwrap();
         assert_eq!(back, ckpt);
         // And the deserialized checkpoint actually resumes the walk.
-        let resumed = explore_from(&space, &ExploreConfig::default(), Some(back)).unwrap();
+        let resumed = explore(&space, &ExploreConfig::default(), Some(back));
         assert!(resumed.stats.completeness.is_exhaustive());
         assert_eq!(r.stats.states + resumed.stats.states, 1_001);
     }
@@ -2987,7 +3062,6 @@ mod tests {
         let fault = |bytes: &[u8]| match ResumeState::<u64>::try_from_bytes(bytes) {
             Ok(_) => panic!("mangled checkpoint decoded"),
             Err(ExploreError::CorruptCheckpoint(f)) => f,
-            Err(e) => panic!("unexpected error {e:?}"),
         };
         // Any single flipped bit anywhere in the body trips the
         // checksum (the footer is verified before any field decoding,
@@ -3080,7 +3154,7 @@ mod tests {
     #[test]
     fn parked_checkpoints_resume_only_at_their_own_type() {
         let space = Chain { len: 100 };
-        let r = explore(&space, &ExploreConfig::with_max_states(25)).unwrap();
+        let r = explore(&space, &ExploreConfig::with_max_states(25), None);
         let ckpt = r.resume.unwrap();
         let (frontier_len, visited) = (ckpt.frontier.len(), ckpt.visited_digests.len());
         let parked = Checkpoint::park(ckpt);
@@ -3095,7 +3169,7 @@ mod tests {
         .is_none());
         // Right type: the walk completes from where it stopped.
         let back = parked.resume::<u64>().unwrap();
-        let resumed = explore_from(&space, &ExploreConfig::default(), Some(back)).unwrap();
+        let resumed = explore(&space, &ExploreConfig::default(), Some(back));
         assert!(resumed.stats.completeness.is_exhaustive());
         assert_eq!(r.stats.states + resumed.stats.states, 101);
     }
@@ -3110,35 +3184,13 @@ mod tests {
     }
 
     #[test]
-    fn retry_with_escalation_reaches_exhaustive() {
-        let space = Chain { len: 500 };
-        let cfg = ExploreConfig::with_max_states(8);
-        let r = retry_with_escalation(&space, &cfg, 16).unwrap();
-        assert!(r.stats.completeness.is_exhaustive());
-        let got: BTreeSet<u64> = r.emits.iter().copied().collect();
-        assert_eq!(got.len(), 501);
-        // Escalation resumes: total fresh states across attempts equals
-        // the space size, not a multiple of it.
-        assert_eq!(r.stats.states, 501);
-    }
-
-    #[test]
-    fn retry_with_escalation_respects_the_cap() {
-        let space = Chain { len: 100_000 };
-        let cfg = ExploreConfig::with_max_states(4);
-        let r = retry_with_escalation(&space, &cfg, 2).unwrap();
-        assert!(r.stats.completeness.is_truncated());
-        assert!(r.resume.is_some());
-    }
-
-    #[test]
     fn one_shot_worker_panic_is_contained() {
         let space = PoisonOnce {
             n: 10,
             poison: 0b101,
             fired: AtomicBool::new(false),
         };
-        let r = explore(&space, &ExploreConfig::default().jobs(4)).unwrap();
+        let r = explore(&space, &ExploreConfig::default().jobs(4), None);
         // One worker died, survivors absorbed its queue AND the
         // in-flight poisoned state: the walk is still exhaustive.
         assert_eq!(r.stats.states, 1 << 10);
@@ -3148,19 +3200,15 @@ mod tests {
 
     #[test]
     fn losing_all_workers_is_an_error() {
-        let r = explore(&PoisonAlways, &ExploreConfig::default().jobs(4));
-        match r {
-            Err(ExploreError::WorkerPanic(4)) => {}
-            other => panic!("expected WorkerPanic(4), got {other:?}"),
-        }
+        let r = parallel(&PoisonAlways, &ExploreConfig::default().jobs(4), None);
+        assert!(r.is_none(), "expected every worker lost, got {r:?}");
     }
 
     #[test]
     fn retry_falls_back_to_sequential_after_worker_panic() {
-        // PoisonOnce's panic fires exactly once; if all workers died
-        // first (impossible here with 4 workers and one firing), retry
-        // would rerun sequentially. Exercise the path directly with a
-        // space that panics until its flag is spent.
+        // PoisonOnce's panic fires exactly once, so survivors absorb it.
+        // Here state 2 panics twice: it kills both parallel workers, and
+        // `explore` must rerun the walk on the sequential driver.
         struct PanicFirstN {
             left: AtomicUsize,
         }
@@ -3194,8 +3242,9 @@ mod tests {
         let space = PanicFirstN {
             left: AtomicUsize::new(2),
         };
-        let r = retry_with_escalation(&space, &ExploreConfig::default().jobs(2), 3).unwrap();
+        let r = explore(&space, &ExploreConfig::default().jobs(2), None);
         assert!(r.stats.completeness.is_exhaustive());
+        assert_eq!(r.stats.jobs, 1, "the rerun is sequential");
         let got: BTreeSet<u64> = r.emits.iter().copied().collect();
         assert_eq!(got.len(), 21);
     }

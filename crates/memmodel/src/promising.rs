@@ -36,7 +36,7 @@
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
-use vrm_explore::{digest128, Deps, ExploreConfig, Footprint, Sink, StateSpace};
+use vrm_explore::{digest128, ExploreConfig, Footprint, Sink, StateSpace};
 
 use crate::ir::{Addr, Expr, Fence, Inst, Observable, Program, Val};
 use crate::outcome::{Outcome, OutcomeSet, ThreadExit};
@@ -1289,32 +1289,22 @@ impl<'a> StepCtx<'a> {
             root: st,
             tid,
         };
-        let ok = match vrm_explore::explore(&space, &ecfg) {
-            Ok(expl) => {
-                let mut ok = false;
-                for e in expl.emits {
-                    match e {
-                        CertEmit::Fulfilled => ok = true,
-                        CertEmit::Violation(v) => eff.violations.push(v),
-                    }
-                }
-                // A truncated certification that found no fulfilment is
-                // inconclusive: conservatively refuse the promise, and
-                // flag the whole enumeration as incomplete (a fulfilment
-                // might exist past the bound). A fulfilment found before
-                // the bound is sound regardless of truncation.
-                if !ok && expl.stats.completeness.is_truncated() {
-                    eff.truncated = true;
-                }
-                ok
+        let expl = vrm_explore::explore(&space, &ecfg, None);
+        let mut ok = false;
+        for e in expl.emits {
+            match e {
+                CertEmit::Fulfilled => ok = true,
+                CertEmit::Violation(v) => eff.violations.push(v),
             }
-            Err(_) => {
-                // WorkerPanic cannot happen (the search is sequential);
-                // treat it as an inconclusive certification anyway.
-                eff.truncated = true;
-                false
-            }
-        };
+        }
+        // A truncated certification that found no fulfilment is
+        // inconclusive: conservatively refuse the promise, and flag the
+        // whole enumeration as incomplete (a fulfilment might exist past
+        // the bound). A fulfilment found before the bound is sound
+        // regardless of truncation.
+        if !ok && expl.stats.completeness.is_truncated() {
+            eff.truncated = true;
+        }
         if !ok {
             OBS_CERT_REFUSED.add(1);
         }
@@ -1372,8 +1362,8 @@ enum PEmit {
 
 /// The full Promising model as a state space: every runnable thread
 /// steps (including promise steps), each step gated on the stepping
-/// thread's promises staying certifiable. The [`Deps`] implementation
-/// names per-thread footprints and the program's thread symmetry; see
+/// thread's promises staying certifiable. The reduction hooks name
+/// per-thread footprints and the program's thread symmetry; see
 /// `docs/REDUCTION.md` for why the footprints are conservative when
 /// promises are enabled.
 struct PromisingSpace<'a> {
@@ -1439,9 +1429,7 @@ impl StateSpace for PromisingSpace<'_> {
             self.expand_proc(st, tid, sink);
         }
     }
-}
 
-impl Deps for PromisingSpace<'_> {
     fn enabled(&self, st: &PState) -> Vec<usize> {
         st.threads
             .iter()
@@ -1648,20 +1636,10 @@ pub fn enumerate_promising_with(
     // Ghost violations are emitted at interior states of particular
     // interleavings, which reduction is free to cut — so the reduced
     // walk only runs when ghost checking is off.
-    let reduced = cfg.reduction && cfg.ghost.is_none();
-    let run = |ecfg: &ExploreConfig| {
-        if reduced {
-            vrm_explore::explore_reduced(&space, ecfg)
-        } else {
-            vrm_explore::explore(&space, ecfg)
-        }
-    };
-    let ecfg = ExploreConfig::with_max_states(cfg.max_states).jobs(cfg.jobs);
-    let exploration = match run(&ecfg) {
-        Ok(r) => r,
-        Err(vrm_explore::ExploreError::WorkerPanic(_)) => run(&ecfg.jobs(1))?,
-        Err(e) => return Err(e.into()),
-    };
+    let ecfg = ExploreConfig::with_max_states(cfg.max_states)
+        .jobs(cfg.jobs)
+        .reduction(cfg.reduction && cfg.ghost.is_none());
+    let exploration = vrm_explore::explore(&space, &ecfg, None);
     truncated |= exploration.stats.completeness.is_truncated();
     let mut outcomes = OutcomeSet::new();
     let mut violations = BTreeSet::new();
@@ -1751,13 +1729,7 @@ pub fn find_witness(
         bindings,
     };
     let ecfg = ExploreConfig::with_max_states(cfg.max_states).jobs(cfg.jobs);
-    let exploration = match vrm_explore::explore(&space, &ecfg) {
-        Ok(r) => r,
-        Err(vrm_explore::ExploreError::WorkerPanic(_)) => {
-            vrm_explore::explore(&space, &ecfg.jobs(1))?
-        }
-        Err(e) => return Err(e.into()),
-    };
+    let exploration = vrm_explore::explore(&space, &ecfg, None);
     Ok(exploration.emits.into_iter().next())
 }
 

@@ -15,7 +15,7 @@
 
 use std::collections::BTreeMap;
 
-use vrm_explore::{digest128, Deps, ExploreConfig, Footprint, Sink, StateSpace};
+use vrm_explore::{digest128, ExploreConfig, Footprint, Sink, StateSpace};
 
 use crate::ir::{Addr, Expr, Inst, Observable, Program, Val};
 use crate::outcome::{Outcome, OutcomeSet, ThreadExit};
@@ -65,10 +65,6 @@ pub enum ExploreError {
     Deadline,
     /// A virtual access was executed without [`Program::vm`] being set.
     NoVmConfig,
-    /// Every parallel exploration worker died to a panic.
-    WorkerPanic(usize),
-    /// A supplied VRMCKPT1 resume checkpoint failed validation.
-    CorruptCheckpoint(vrm_explore::CheckpointFault),
 }
 
 impl std::fmt::Display for ExploreError {
@@ -78,26 +74,11 @@ impl std::fmt::Display for ExploreError {
             ExploreError::DepthLimit(d) => write!(f, "depth limit exceeded (depth {d})"),
             ExploreError::Deadline => write!(f, "exploration deadline exceeded"),
             ExploreError::NoVmConfig => write!(f, "virtual access without VmConfig"),
-            ExploreError::WorkerPanic(n) => {
-                write!(f, "exploration lost all {n} parallel workers")
-            }
-            ExploreError::CorruptCheckpoint(fault) => {
-                write!(f, "corrupt VRMCKPT1 checkpoint: {fault}")
-            }
         }
     }
 }
 
 impl std::error::Error for ExploreError {}
-
-impl From<vrm_explore::ExploreError> for ExploreError {
-    fn from(e: vrm_explore::ExploreError) -> Self {
-        match e {
-            vrm_explore::ExploreError::WorkerPanic(n) => ExploreError::WorkerPanic(n),
-            vrm_explore::ExploreError::CorruptCheckpoint(f) => ExploreError::CorruptCheckpoint(f),
-        }
-    }
-}
 
 /// Run status of one modelled CPU.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -525,9 +506,9 @@ pub fn enumerate_sc(prog: &Program) -> Result<OutcomeSet, ExploreError> {
 /// The SC interleaving space as seen by the exploration engine: one
 /// state per memoized machine configuration, expansion steps each
 /// runnable thread (forking over `Oracle` choices), and finished states
-/// emit their [`Outcome`]. The [`Deps`] implementation additionally
-/// names per-thread footprints and the program's thread symmetry, which
-/// is what the reduced drivers cut interleavings with.
+/// emit their [`Outcome`]. The reduction hooks additionally name
+/// per-thread footprints and the program's thread symmetry, which is
+/// what the reduced drivers cut interleavings with.
 struct ScSpace<'a> {
     prog: &'a Program,
     /// Non-identity tid permutations of the program's symmetry group
@@ -586,9 +567,7 @@ impl StateSpace for ScSpace<'_> {
             self.expand_proc(st, tid, sink);
         }
     }
-}
 
-impl Deps for ScSpace<'_> {
     fn enabled(&self, st: &ScState) -> Vec<usize> {
         st.cpus
             .iter()
@@ -689,9 +668,6 @@ impl Deps for ScSpace<'_> {
 /// Exceeding `max_states` no longer errors: the returned set holds the
 /// outcomes found so far and its `stats.completeness` records the
 /// truncation, which the theorem layer turns into an `Unknown` verdict.
-/// If every parallel worker dies (a bug in the model, or injected
-/// faults overwhelming containment) the enumeration is retried once on
-/// the sequential driver, which cannot lose workers.
 pub fn enumerate_sc_with(prog: &Program, cfg: &ScConfig) -> Result<OutcomeSet, ExploreError> {
     let _span = vrm_obs::span!("enumerate.sc", prog = prog.name.as_str(), jobs = cfg.jobs);
     let space = ScSpace::new(prog);
@@ -727,35 +703,71 @@ pub fn enumerate_sc_all_symmetric(
 /// kills the mutant by its deterministic popped-count mismatch against
 /// the sound reduced walk. Not part of the public API.
 pub fn enumerate_sc_sleepless(prog: &Program, cfg: &ScConfig) -> Result<OutcomeSet, ExploreError> {
-    let space = ScSpace::new(prog);
-    let ecfg = ExploreConfig::with_max_states(cfg.max_states).jobs(1);
-    let exploration = vrm_explore::explore_reduced_sleepless(&space, &ecfg)?;
-    let mut outcomes = OutcomeSet::new();
-    for emit in exploration.emits {
-        outcomes.insert(emit?);
-    }
-    outcomes.stats = exploration.stats;
-    Ok(outcomes)
+    let cfg = ScConfig {
+        jobs: 1,
+        reduction: true,
+        ..*cfg
+    };
+    collect_sc(&Sleepless(ScSpace::new(prog)), &cfg)
 }
 
-/// Runs the exploration (reduced or reference, per
-/// [`ScConfig::reduction`]) and folds emissions into an [`OutcomeSet`].
-/// If every parallel worker dies the enumeration is retried once on the
-/// sequential driver, which cannot lose workers.
-fn collect_sc(space: &ScSpace<'_>, cfg: &ScConfig) -> Result<OutcomeSet, ExploreError> {
-    let ecfg = ExploreConfig::with_max_states(cfg.max_states).jobs(cfg.jobs);
-    let run = |ecfg: &ExploreConfig| {
-        if cfg.reduction {
-            vrm_explore::explore_reduced(space, ecfg)
-        } else {
-            vrm_explore::explore(space, ecfg)
-        }
-    };
-    let exploration = match run(&ecfg) {
-        Ok(r) => r,
-        Err(vrm_explore::ExploreError::WorkerPanic(_)) => run(&ecfg.jobs(1))?,
-        Err(e) => return Err(e.into()),
-    };
+/// Thread ids as [`Sleepless`] hands them to the engine: shifted past
+/// its 64-bit sleep mask.
+const PAST_SLEEP_MASK: usize = 64;
+
+/// The SC space with every thread id shifted past the engine's sleep
+/// mask. The sequential driver never sleeps such ids, so the walk keeps
+/// ample sets and symmetry but loses sleep-set pruning.
+struct Sleepless<'a>(ScSpace<'a>);
+
+impl StateSpace for Sleepless<'_> {
+    type State = ScState;
+    type Emit = Result<Outcome, ExploreError>;
+
+    fn initial(&self) -> Vec<ScState> {
+        self.0.initial()
+    }
+
+    fn expand(&self, st: &ScState, sink: &mut Sink<ScState, Self::Emit>) {
+        self.0.expand(st, sink);
+    }
+
+    fn enabled(&self, st: &ScState) -> Vec<usize> {
+        let tids = self.0.enabled(st).into_iter();
+        tids.map(|tid| tid + PAST_SLEEP_MASK).collect()
+    }
+
+    fn expand_proc(&self, st: &ScState, p: usize, sink: &mut Sink<ScState, Self::Emit>) {
+        self.0.expand_proc(st, p - PAST_SLEEP_MASK, sink);
+    }
+
+    fn now(&self, st: &ScState, p: usize) -> Footprint {
+        self.0.now(st, p - PAST_SLEEP_MASK)
+    }
+
+    fn future(&self, st: &ScState, p: usize) -> Footprint {
+        self.0.future(st, p - PAST_SLEEP_MASK)
+    }
+
+    fn canon(&self, st: &ScState) -> Option<ScState> {
+        self.0.canon(st)
+    }
+
+    fn orbit(&self, st: &ScState) -> Vec<ScState> {
+        self.0.orbit(st)
+    }
+}
+
+/// Runs the exploration (reduced or not, per [`ScConfig::reduction`])
+/// and folds emissions into an [`OutcomeSet`].
+fn collect_sc<SP>(space: &SP, cfg: &ScConfig) -> Result<OutcomeSet, ExploreError>
+where
+    SP: StateSpace<Emit = Result<Outcome, ExploreError>>,
+{
+    let ecfg = ExploreConfig::with_max_states(cfg.max_states)
+        .jobs(cfg.jobs)
+        .reduction(cfg.reduction);
+    let exploration = vrm_explore::explore(space, &ecfg, None);
     let mut outcomes = OutcomeSet::new();
     for emit in exploration.emits {
         outcomes.insert(emit?);

@@ -235,7 +235,7 @@ pub enum ReductionVariant {
     /// stays outcome-correct but its popped/states counts drift off the
     /// bench anchors `BENCH_explore.json` pins.
     SleepSetNeverBlocks,
-    /// `Deps::canon` replaced by the identity on a space whose orbit
+    /// `StateSpace::canon` replaced by the identity on a space whose orbit
     /// map treats *all* threads as interchangeable — an unsound
     /// over-prune that merges non-symmetric interleavings and
     /// manufactures outcomes the real machine forbids, flipping a

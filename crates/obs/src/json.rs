@@ -195,11 +195,20 @@ pub fn counts_to_json(counts: &[(String, u64)]) -> String {
     w.finish()
 }
 
-/// Parses one JSON document, rejecting trailing non-whitespace.
+/// How deeply arrays and objects may nest before [`parse`] gives up.
+/// The parser recurses once per level, so without a cap a line of
+/// `[[[[…` from a client would overflow the parsing thread's stack and
+/// abort the process. Every document this workspace writes nests a few
+/// levels deep.
+const MAX_DEPTH: usize = 128;
+
+/// Parses one JSON document, rejecting trailing non-whitespace and
+/// arrays or objects nested more than 128 levels deep.
 pub fn parse(text: &str) -> Option<Json> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -213,6 +222,8 @@ pub fn parse(text: &str) -> Option<Json> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -244,14 +255,23 @@ impl Parser<'_> {
     fn value(&mut self) -> Option<Json> {
         self.skip_ws();
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            b'{' | b'[' if self.depth == MAX_DEPTH => None,
+            b'{' => self.nested(Self::object),
+            b'[' => self.nested(Self::array),
             b'"' => self.string().map(Json::Str),
             b't' => self.lit("true").map(|_| Json::Bool(true)),
             b'f' => self.lit("false").map(|_| Json::Bool(false)),
             b'n' => self.lit("null").map(|_| Json::Null),
             _ => self.number(),
         }
+    }
+
+    /// Parses one array or object a level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Option<Json>) -> Option<Json> {
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Option<Json> {
@@ -426,6 +446,22 @@ mod tests {
         assert_eq!(inner[1], Json::Float(2.5));
         assert_eq!(inner[2], Json::Null);
         assert_eq!(inner[3], Json::Bool(false));
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nest(MAX_DEPTH)).is_some());
+        assert!(parse(&nest(MAX_DEPTH + 1)).is_none());
+        let obj = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(parse(&obj).is_none());
+        // A million levels on a default-size thread stack: without the
+        // cap this overflows the stack and aborts the whole process.
+        let deep = "[".repeat(1_000_000);
+        let parsed = std::thread::spawn(move || parse(&deep).is_some())
+            .join()
+            .expect("the parsing thread must not die");
+        assert!(!parsed);
     }
 
     #[test]

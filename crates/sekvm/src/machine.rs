@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 
-use vrm_explore::{Deps, ExploreConfig, ExploreStats, Sink, StateSpace};
+use vrm_explore::{ExploreConfig, ExploreStats, Sink, StateSpace};
 use vrm_memmodel::ir::{Addr, Val};
 use vrm_memmodel::symm;
 
@@ -610,6 +610,10 @@ impl Machine {
     /// without progress (e.g. repeatedly re-drawing a ticket for a vCPU
     /// that is never released) is pruned by the visited-set and simply
     /// contributes no terminal outcome.
+    ///
+    /// The walk itself cannot fail; the `Result` is
+    /// [`explore_schedules_from`](Self::explore_schedules_from)'s, whose
+    /// checkpoint can be refused.
     pub fn explore_schedules(
         cfg: KCoreConfig,
         scripts: Vec<Script>,
@@ -631,7 +635,9 @@ impl Machine {
     ///
     /// This is the handoff a serving layer uses: cache the
     /// `ScheduleResume` beside an `Unknown` verdict, and a re-query
-    /// with a larger budget continues the walk it paid for.
+    /// with a larger budget continues the walk it paid for. The only
+    /// error is [`vrm_explore::ExploreError::CorruptCheckpoint`], for a
+    /// `prior` whose checkpoint cannot be recovered.
     pub fn explore_schedules_from(
         cfg: KCoreConfig,
         scripts: Vec<Script>,
@@ -644,8 +650,7 @@ impl Machine {
             jobs = ecfg.jobs,
             resumed = u64::from(prior.is_some()),
         );
-        let space = SchedSpace::new(cfg, scripts);
-        let xcfg = ExploreConfig::with_max_states(ecfg.max_states).jobs(ecfg.jobs);
+        let space = RefineSpace::new(cfg, scripts, false);
         let (seed, mut outcomes, prior_stats) = match prior {
             Some(p) => {
                 // The checkpoint can only have been parked by this
@@ -660,23 +665,8 @@ impl Machine {
             }
             None => (None, BTreeSet::new(), None),
         };
-        let run = |xcfg: &ExploreConfig,
-                   seed: Option<vrm_explore::ResumeState<SchedNode>>|
-         -> Result<_, vrm_explore::ExploreError> {
-            if ecfg.reduction {
-                vrm_explore::explore_reduced_from(&space, xcfg, seed)
-            } else {
-                vrm_explore::explore_from(&space, xcfg, seed)
-            }
-        };
-        let ex = match run(&xcfg, seed.clone()) {
-            Ok(ex) => ex,
-            // All parallel workers died: the sequential driver has no
-            // worker threads to lose, so fall back to it once.
-            Err(vrm_explore::ExploreError::WorkerPanic(_)) => run(&xcfg.jobs(1), seed)?,
-            Err(e) => return Err(e),
-        };
-        outcomes.extend(ex.emits);
+        let ex = vrm_explore::explore(&space, &ecfg.engine(), seed);
+        outcomes.extend(RefineEmit::split(ex.emits).0);
         let mut stats = ex.stats;
         if let Some(prior) = prior_stats {
             // Sum the attempts' counters but keep the final attempt's
@@ -698,43 +688,6 @@ impl Machine {
         })
     }
 
-    /// [`explore_schedules`](Self::explore_schedules) with bounded
-    /// budget-doubling restarts: a truncated walk is resumed from its
-    /// checkpoint with doubled budgets (up to `max_retries` times), and a
-    /// walk that lost all its workers is retried sequentially. The final
-    /// report may still be truncated — callers must consult
-    /// [`ExhaustiveReport::verdict`], never assume exhaustiveness.
-    pub fn explore_schedules_resilient(
-        cfg: KCoreConfig,
-        scripts: Vec<Script>,
-        ecfg: &ExhaustiveConfig,
-        max_retries: usize,
-    ) -> Result<ExhaustiveReport, vrm_explore::ExploreError> {
-        let _span = vrm_obs::span!(
-            "machine.explore_schedules_resilient",
-            scripts = scripts.len(),
-            jobs = ecfg.jobs,
-        );
-        let space = SchedSpace::new(cfg, scripts);
-        let xcfg = ExploreConfig::with_max_states(ecfg.max_states).jobs(ecfg.jobs);
-        let ex = if ecfg.reduction {
-            vrm_explore::retry_with_escalation_reduced(&space, &xcfg, max_retries)?
-        } else {
-            vrm_explore::retry_with_escalation(&space, &xcfg, max_retries)?
-        };
-        let outcomes: BTreeSet<SchedOutcome> = ex.emits.into_iter().collect();
-        let resume = ex.resume.map(|rs| ScheduleResume {
-            checkpoint: vrm_explore::Checkpoint::park(rs),
-            outcomes: outcomes.clone(),
-            stats: ex.stats,
-        });
-        Ok(ExhaustiveReport {
-            outcomes,
-            stats: ex.stats,
-            resume,
-        })
-    }
-
     /// Checks refinement over **every** scheduler interleaving: each
     /// concrete transition the walk reaches must project, via
     /// [`refine::check_transition`](crate::refine::check_transition), to
@@ -746,7 +699,9 @@ impl Machine {
     /// [`explore_schedules`](Self::explore_schedules) — same nodes, same
     /// dedup, same terminal outcomes — so the returned report's
     /// `outcomes` agree with the schedule exploration's, while
-    /// `violations` carries the simulation failures.
+    /// `violations` carries the simulation failures. Like
+    /// [`explore_schedules`](Self::explore_schedules), it never returns
+    /// `Err`.
     pub fn check_refinement(
         cfg: KCoreConfig,
         scripts: Vec<Script>,
@@ -757,32 +712,9 @@ impl Machine {
             scripts = scripts.len(),
             jobs = ecfg.jobs,
         );
-        let space = RefineSpace::new(cfg, scripts);
-        let xcfg = ExploreConfig::with_max_states(ecfg.max_states).jobs(ecfg.jobs);
-        let run = |xcfg: &ExploreConfig| -> Result<_, vrm_explore::ExploreError> {
-            if ecfg.reduction {
-                vrm_explore::explore_reduced(&space, xcfg)
-            } else {
-                vrm_explore::explore(&space, xcfg)
-            }
-        };
-        let ex = match run(&xcfg) {
-            Ok(ex) => ex,
-            Err(vrm_explore::ExploreError::WorkerPanic(_)) => run(&xcfg.jobs(1))?,
-            Err(e) => return Err(e),
-        };
-        let mut outcomes = BTreeSet::new();
-        let mut violations = BTreeSet::new();
-        for e in ex.emits {
-            match e {
-                RefineEmit::Outcome(o) => {
-                    outcomes.insert(o);
-                }
-                RefineEmit::Violation(v) => {
-                    violations.insert(v);
-                }
-            }
-        }
+        let space = RefineSpace::new(cfg, scripts, true);
+        let ex = vrm_explore::explore(&space, &ecfg.engine(), None);
+        let (outcomes, violations) = RefineEmit::split(ex.emits);
         Ok(RefinementReport {
             outcomes,
             violations,
@@ -870,6 +802,15 @@ impl Default for ExhaustiveConfig {
             jobs: ExploreConfig::jobs_from_env(),
             reduction: true,
         }
+    }
+}
+
+impl ExhaustiveConfig {
+    /// The engine configuration these bounds describe.
+    fn engine(&self) -> ExploreConfig {
+        ExploreConfig::with_max_states(self.max_states)
+            .jobs(self.jobs)
+            .reduction(self.reduction)
     }
 }
 
@@ -1101,7 +1042,7 @@ impl ScheduleResume {
             jobs: nums[7] as usize,
             completeness,
         };
-        let space = SchedSpace::new(cfg, scripts);
+        let space = RefineSpace::new(cfg, scripts, false);
         let identity: Vec<usize> = (0..space.root.cpus.len()).collect();
         let mut frontier = Vec::with_capacity(paths.frontier.len());
         for (SchedPath(path), depth) in paths.frontier {
@@ -1472,84 +1413,6 @@ fn orbit_nodes(root: &SchedNode, perms: &[Vec<usize>], node: &SchedNode) -> Vec<
     out
 }
 
-struct SchedSpace {
-    root: SchedNode,
-    perms: Vec<Vec<usize>>,
-}
-
-impl SchedSpace {
-    fn new(cfg: KCoreConfig, scripts: Vec<Script>) -> Self {
-        let perms = script_perms(&scripts);
-        let m = Machine::new(cfg, scripts, 0);
-        let root = SchedNode::new(m.kcore, m.cpus, 0, Vec::new(), Vec::new(), Vec::new());
-        SchedSpace { root, perms }
-    }
-
-    fn runnable(node: &SchedNode) -> Vec<usize> {
-        (0..node.cpus.len())
-            .filter(|&c| !matches!(node.cpus[c].phase, Phase::Finished))
-            .collect()
-    }
-}
-
-impl StateSpace for SchedSpace {
-    type State = SchedNode;
-    type Emit = SchedOutcome;
-
-    fn initial(&self) -> Vec<SchedNode> {
-        vec![self.root.clone()]
-    }
-
-    fn expand(&self, node: &SchedNode, sink: &mut Sink<SchedNode, SchedOutcome>) {
-        let runnable = Self::runnable(node);
-        if runnable.is_empty() {
-            sink.emit(node.outcome(false));
-            return;
-        }
-        let mut progressed = false;
-        for cpu in runnable {
-            let (succ, _) = node.step_once(cpu);
-            if succ.digest != node.digest {
-                progressed = true;
-                sink.push(succ);
-            }
-        }
-        if !progressed {
-            // Every CPU is waiting on something that can never happen.
-            sink.emit(node.outcome(true));
-        }
-    }
-}
-
-/// Symmetry-only reduction: `now`/`future` stay at their conservative
-/// top defaults (every operation may touch the shared `KCore`, so no
-/// sound independence is claimed and neither sleep sets nor ample
-/// singletons ever prune), while `canon`/`orbit` collapse CPUs with
-/// identical scripts via path replay. The global-stall emission —
-/// every CPU steps to itself, a property no single `expand_proc` can
-/// see — is recovered by the reduced drivers' dead-end delegation to
-/// the whole-state [`StateSpace::expand`] above.
-impl Deps for SchedSpace {
-    fn enabled(&self, node: &SchedNode) -> Vec<usize> {
-        Self::runnable(node)
-    }
-
-    fn expand_proc(&self, node: &SchedNode, p: usize, sink: &mut Sink<SchedNode, SchedOutcome>) {
-        let (succ, _) = node.step_once(p);
-        if succ.digest != node.digest {
-            sink.push(succ);
-        }
-    }
-
-    fn canon(&self, node: &SchedNode) -> Option<SchedNode> {
-        canon_node(&self.root, &self.perms, node)
-    }
-
-    fn orbit(&self, node: &SchedNode) -> Vec<SchedNode> {
-        orbit_nodes(&self.root, &self.perms, node)
-    }
-}
-
 /// One concrete transition that failed to simulate the abstract
 /// ownership machine: either its label replay hit an illegal abstract
 /// step, the replayed abstract state disagreed with the projected
@@ -1603,43 +1466,85 @@ impl RefinementReport {
     }
 }
 
+/// What a [`RefineSpace`] walk emits.
 enum RefineEmit {
     Outcome(SchedOutcome),
     Violation(RefinementViolation),
 }
 
-/// [`SchedSpace`] plus a per-transition refinement check: every executed
-/// operation's pre/post pair is handed to
-/// [`refine::check_transition`](crate::refine::check_transition) and any
-/// failure is emitted through the sink. Violations are *not* part of the
-/// node digest, so the walked graph is identical to `SchedSpace`'s.
+impl RefineEmit {
+    /// Sorts a walk's emissions into its outcomes and its violations.
+    fn split(emits: Vec<RefineEmit>) -> (BTreeSet<SchedOutcome>, BTreeSet<RefinementViolation>) {
+        let mut outcomes = BTreeSet::new();
+        let mut violations = BTreeSet::new();
+        for e in emits {
+            match e {
+                RefineEmit::Outcome(o) => {
+                    outcomes.insert(o);
+                }
+                RefineEmit::Violation(v) => {
+                    violations.insert(v);
+                }
+            }
+        }
+        (outcomes, violations)
+    }
+}
+
+/// The schedule space of [`Machine::explore_schedules`] and
+/// [`Machine::check_refinement`]: a node steps each runnable CPU, a
+/// terminal node emits its outcome, and a node where no CPU's step
+/// changes anything emits a stalled one. With `check` set, every
+/// executed operation's pre/post pair is also handed to
+/// [`refine::check_transition`](crate::refine::check_transition) and
+/// any failure is emitted through the sink. Violations are *not* part
+/// of the node digest, so checking does not change the walked graph.
+///
+/// Reduction is symmetry-only: `now`/`future` stay at their
+/// conservative top defaults (every operation may touch the shared
+/// `KCore`, so no sound independence is claimed and neither sleep sets
+/// nor ample singletons ever prune), while `canon`/`orbit` collapse CPUs
+/// with identical scripts via path replay. The global-stall emission —
+/// every CPU steps to itself, a property no single `expand_proc` can
+/// see — is recovered by the reduced drivers' dead-end delegation to the
+/// whole-state [`StateSpace::expand`]. One asymmetry of *observation*
+/// (not of the walked graph): interior [`RefineEmit::Violation`]s are
+/// checked at orbit representatives only, so the reduced violation set
+/// is the unreduced one modulo CPU relabeling — non-empty iff the
+/// unreduced set is, which is what the refinement verdict consumes.
+/// Terminal outcomes are re-rendered for the whole orbit and stay
+/// bit-identical.
 struct RefineSpace {
     root: SchedNode,
     perms: Vec<Vec<usize>>,
+    /// Check refinement on every executed operation.
+    check: bool,
 }
 
 impl RefineSpace {
-    fn new(cfg: KCoreConfig, scripts: Vec<Script>) -> Self {
+    fn new(cfg: KCoreConfig, scripts: Vec<Script>, check: bool) -> Self {
         let perms = script_perms(&scripts);
         let m = Machine::new(cfg, scripts, 0);
         let root = SchedNode::new(m.kcore, m.cpus, 0, Vec::new(), Vec::new(), Vec::new());
-        RefineSpace { root, perms }
+        RefineSpace { root, perms, check }
     }
 
-    /// One CPU's transition with its refinement check: steps `cpu`,
-    /// emits a [`RefineEmit::Violation`] for every simulation failure
-    /// of the executed operation, and pushes the successor unless the
-    /// step was a self-loop. Shared verbatim between the whole-state
-    /// [`StateSpace::expand`] and the per-process [`Deps::expand_proc`]
-    /// so the two drivers check exactly the same transitions.
-    fn step_checked(
-        &self,
-        node: &SchedNode,
-        cpu: usize,
-        sink: &mut Sink<SchedNode, RefineEmit>,
-    ) -> bool {
+    fn runnable(node: &SchedNode) -> Vec<usize> {
+        (0..node.cpus.len())
+            .filter(|&c| !matches!(node.cpus[c].phase, Phase::Finished))
+            .collect()
+    }
+
+    /// One CPU's transition: steps `cpu`, emits (when checking) a
+    /// [`RefineEmit::Violation`] for every simulation failure of the
+    /// executed operation, and pushes the successor unless the step was
+    /// a self-loop. Shared verbatim between the whole-state
+    /// [`StateSpace::expand`] and the per-process
+    /// [`StateSpace::expand_proc`] so the two drivers check exactly the
+    /// same transitions.
+    fn step(&self, node: &SchedNode, cpu: usize, sink: &mut Sink<SchedNode, RefineEmit>) -> bool {
         let (succ, finished) = node.step_once(cpu);
-        if let Some(ok) = finished {
+        if let (true, Some(ok)) = (self.check, finished) {
             let pre = &node.cpus[cpu];
             let op = &pre.script[pre.next_op];
             for detail in crate::refine::check_transition(&node.kcore, pre.vm, op, ok, &succ.kcore)
@@ -1669,36 +1574,27 @@ impl StateSpace for RefineSpace {
     }
 
     fn expand(&self, node: &SchedNode, sink: &mut Sink<SchedNode, RefineEmit>) {
-        let runnable = SchedSpace::runnable(node);
+        let runnable = Self::runnable(node);
         if runnable.is_empty() {
             sink.emit(RefineEmit::Outcome(node.outcome(false)));
             return;
         }
         let mut progressed = false;
         for cpu in runnable {
-            progressed |= self.step_checked(node, cpu, sink);
+            progressed |= self.step(node, cpu, sink);
         }
         if !progressed {
             // Every CPU is waiting on something that can never happen.
             sink.emit(RefineEmit::Outcome(node.outcome(true)));
         }
     }
-}
 
-/// Same symmetry-only reduction as [`SchedSpace`]'s. One asymmetry of
-/// *observation* (not of the walked graph): interior
-/// [`RefineEmit::Violation`]s are checked at orbit representatives
-/// only, so the reduced violation set is the unreduced one modulo CPU
-/// relabeling — non-empty iff the unreduced set is, which is what the
-/// refinement verdict consumes. Terminal outcomes are re-rendered for
-/// the whole orbit and stay bit-identical.
-impl Deps for RefineSpace {
     fn enabled(&self, node: &SchedNode) -> Vec<usize> {
-        SchedSpace::runnable(node)
+        Self::runnable(node)
     }
 
     fn expand_proc(&self, node: &SchedNode, p: usize, sink: &mut Sink<SchedNode, RefineEmit>) {
-        self.step_checked(node, p, sink);
+        self.step(node, p, sink);
     }
 
     fn canon(&self, node: &SchedNode) -> Option<SchedNode> {
@@ -1953,14 +1849,14 @@ mod tests {
     /// test), followed by each reached node's symmetry images as
     /// [`replay`] builds them for canon and orbit.
     fn generated_nodes(scripts: Vec<Script>) -> Vec<(SchedNode, (u128, u128))> {
-        let space = SchedSpace::new(KCoreConfig::default(), scripts);
+        let space = RefineSpace::new(KCoreConfig::default(), scripts, false);
         let mut expanded = std::collections::HashSet::new();
         let mut stack = vec![space.root.clone()];
         let mut nodes = Vec::new();
         while let Some(n) = stack.pop() {
             let fps = reference_fingerprints(&n);
             if expanded.insert(fps.1) {
-                for cpu in SchedSpace::runnable(&n) {
+                for cpu in RefineSpace::runnable(&n) {
                     stack.push(n.step_once(cpu).0);
                 }
             }
@@ -2022,12 +1918,12 @@ mod tests {
     #[test]
     fn replay_rebuilds_the_node_its_path_reached() {
         let scripts = crate::workloads::by_name("unmap").expect("unmap workload");
-        let space = SchedSpace::new(KCoreConfig::default(), scripts);
+        let space = RefineSpace::new(KCoreConfig::default(), scripts, false);
         let identity: Vec<usize> = (0..space.root.cpus.len()).collect();
         // Down one schedule: every prefix, rebuilt by replay, equals
         // the node the step-by-step walk built.
         let mut node = space.root.clone();
-        while let Some(&cpu) = SchedSpace::runnable(&node).last() {
+        while let Some(&cpu) = RefineSpace::runnable(&node).last() {
             node = node.step_once(cpu).0;
             let r = replay(&space.root, &node.path, &identity);
             assert_eq!(r.digest, node.digest, "path {:?}", node.path);
@@ -2259,28 +2155,6 @@ mod tests {
         // count: nothing was revisited and nothing was lost.
         assert_eq!(resumed.stats.states, full.stats.states);
         assert!(starved_states < full.stats.states);
-    }
-
-    #[test]
-    fn resilient_exploration_escalates_to_exhaustive() {
-        // Start with a starved budget; the escalating retry doubles it
-        // (resuming from the checkpoint) until the walk completes, and
-        // the final verdict is a real Pass.
-        let scripts: Vec<Script> = (0..2).map(|_| vec![Op::RegisterVm]).collect();
-        let report = Machine::explore_schedules_resilient(
-            KCoreConfig::default(),
-            scripts,
-            &ExhaustiveConfig {
-                max_states: 2,
-                jobs: 1,
-                ..ExhaustiveConfig::default()
-            },
-            16,
-        )
-        .unwrap();
-        assert!(report.stats.completeness.is_exhaustive());
-        assert!(matches!(report.verdict(), vrm_explore::Verdict::Pass));
-        assert!(report.all_clean(), "{:?}", report.outcomes);
     }
 
     #[test]

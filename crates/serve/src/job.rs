@@ -255,14 +255,11 @@ pub fn execute(
                 &ecfg,
                 resume,
             )
-            .or_else(|e| match e {
+            .or_else(|vrm_explore::ExploreError::CorruptCheckpoint(_)| {
                 // A checkpoint that no longer deserializes must never
                 // poison the query: count it and restart from scratch.
-                vrm_explore::ExploreError::CorruptCheckpoint(_) => {
-                    vrm_obs::Counter::new(vrm_obs::serve::CHECKPOINT_CORRUPT).add(1);
-                    Machine::explore_schedules(KCoreConfig::default(), scripts, &ecfg)
-                }
-                e => Err(e),
+                vrm_obs::Counter::new(vrm_obs::serve::CHECKPOINT_CORRUPT).add(1);
+                Machine::explore_schedules(KCoreConfig::default(), scripts, &ecfg)
             })
             .map_err(|e| format!("explore_schedules: {e}"))?;
             let verdict = report.verdict();

@@ -311,6 +311,12 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_lines_are_malformed_json() {
+        let line = format!(r#"{{"op":"status","x":{}}}"#, "[".repeat(1_000_000));
+        assert_eq!(parse_request(&line).unwrap_err(), "malformed JSON");
+    }
+
+    #[test]
     fn result_lines_roundtrip_through_reply() {
         let res = JobResult {
             verdict: Verdict::Pass,

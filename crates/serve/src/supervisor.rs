@@ -418,22 +418,20 @@ mod tests {
         if vrm_faults::armed() {
             return;
         }
-        let spawned = Counter::new(names::WORKER_SPAWNED);
-        let s0 = spawned.get();
+        // Each spawn of the fake worker appends a line to this test's
+        // own file: sibling tests spawn workers in parallel, so the
+        // process-global spawn counter cannot tell whose spawn it saw.
+        let spawns =
+            std::env::temp_dir().join(format!("vrm-error-line-spawns-{}.txt", std::process::id()));
+        let _ = std::fs::remove_file(&spawns);
         let line = r#"{\"status\":\"error\",\"exit_code\":2,\"detail\":\"unknown workload\"}"#;
-        let err = execute_isolated(
-            &fast_iso(sh(&format!("echo \"{line}\""))),
-            &spec(),
-            &JobConfig::default(),
-            None,
-        )
-        .expect_err("an error line is a protocol error");
+        let worker = format!("echo spawn >> '{}'; echo \"{line}\"", spawns.display());
+        let err = execute_isolated(&fast_iso(sh(&worker)), &spec(), &JobConfig::default(), None)
+            .expect_err("an error line is a protocol error");
         assert!(err.contains("unknown workload"));
-        assert_eq!(
-            spawned.get() - s0,
-            1,
-            "deterministic refusals must not be retried"
-        );
+        let spawned = std::fs::read_to_string(&spawns).map_or(0, |s| s.lines().count());
+        let _ = std::fs::remove_file(&spawns);
+        assert_eq!(spawned, 1, "deterministic refusals must not be retried");
     }
 
     #[test]

@@ -929,8 +929,8 @@ mod tests {
             init: AbsState::boot(),
             prog,
         };
-        let ex = vrm_explore::explore(&space, &vrm_explore::ExploreConfig::with_max_states(1024))
-            .unwrap();
+        let cfg = vrm_explore::ExploreConfig::with_max_states(1024);
+        let ex = vrm_explore::explore(&space, &cfg, None);
         assert!(ex.stats.completeness.is_exhaustive());
         assert_eq!(ex.stats.states, 9, "3x3 pc lattice, states dedup by pcs");
         assert!(ex.emits.iter().all(|o| *o == AbsOutcome::Clean));

@@ -10,9 +10,7 @@
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
-use vrm::explore::{
-    explore, explore_from, Completeness, ExploreConfig, ResumeState, Sink, StateSpace,
-};
+use vrm::explore::{explore, Completeness, ExploreConfig, ResumeState, Sink, StateSpace};
 
 /// A seeded pseudo-random digraph over `0..modulus`: every expansion
 /// emits its state, successors are splitmix-style hashes. Small enough
@@ -57,7 +55,7 @@ fn emit_set(emits: &[u64]) -> BTreeSet<u64> {
 }
 
 fn exhaustive_set(space: &Maze) -> BTreeSet<u64> {
-    let r = explore(space, &ExploreConfig::default()).expect("sequential walk cannot fail");
+    let r = explore(space, &ExploreConfig::default(), None);
     assert!(r.stats.completeness.is_exhaustive());
     emit_set(&r.emits)
 }
@@ -76,8 +74,7 @@ proptest! {
     ) {
         let space = Maze { seed, modulus, branch };
         let full = exhaustive_set(&space);
-        let r = explore(&space, &ExploreConfig::with_max_states(budget))
-            .expect("sequential walk cannot fail");
+        let r = explore(&space, &ExploreConfig::with_max_states(budget), None);
         let partial = emit_set(&r.emits);
         prop_assert!(
             partial.is_subset(&full),
@@ -105,11 +102,7 @@ proptest! {
         let full = exhaustive_set(&space);
         for jobs in [1usize, 2, 4] {
             let mut acc: BTreeSet<u64> = BTreeSet::new();
-            let first = explore(
-                &space,
-                &ExploreConfig::with_max_states(budget).jobs(jobs),
-            )
-            .expect("workers must survive");
+            let first = explore(&space, &ExploreConfig::with_max_states(budget).jobs(jobs), None);
             acc.extend(first.emits.iter().copied());
             let mut resume = first.resume;
             let mut legs = 0;
@@ -119,12 +112,11 @@ proptest! {
                 let bytes = ckpt.to_bytes();
                 let ckpt = ResumeState::<u64>::from_bytes(&bytes)
                     .expect("checkpoint must round-trip");
-                let leg = explore_from(
+                let leg = explore(
                     &space,
                     &ExploreConfig::with_max_states(budget.max(8)).jobs(jobs),
                     Some(ckpt),
-                )
-                .expect("workers must survive");
+                );
                 acc.extend(leg.emits.iter().copied());
                 resume = leg.resume;
                 legs += 1;
