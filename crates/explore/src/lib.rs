@@ -222,22 +222,46 @@ impl ExploreConfig {
 }
 
 /// Which budget stopped a truncated walk.
+///
+/// The discriminants are the reasons' stable byte tags
+/// ([`TruncationReason::tag`]) in durable images and on the worker
+/// wire; never renumber them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TruncationReason {
     /// [`ExploreConfig::max_states`] was reached.
-    StateLimit,
+    StateLimit = 0,
     /// [`ExploreConfig::max_depth`] pruned at least one successor.
-    DepthLimit,
+    DepthLimit = 1,
     /// [`ExploreConfig::deadline`] passed.
-    Deadline,
+    Deadline = 2,
     /// [`ExploreConfig::max_memory`] was exceeded (approximate byte
     /// accounting on the visited set).
-    MemoryBudget,
+    MemoryBudget = 3,
     /// The walk was delegated to a worker *process* that died or hung
     /// before answering (supervised out-of-process execution, e.g. a
     /// `vrm-serve` worker). Nothing was explored on this attempt; the
     /// verdict degrades to `Unknown`, never to a wrong answer.
-    WorkerLost,
+    WorkerLost = 4,
+}
+
+impl TruncationReason {
+    /// The reason's stable byte tag.
+    pub fn tag(self) -> u8 {
+        self as u8
+    }
+
+    /// The reason tagged `tag`, or `None` for a tag no reason has.
+    pub fn from_tag(tag: u8) -> Option<TruncationReason> {
+        [
+            Self::StateLimit,
+            Self::DepthLimit,
+            Self::Deadline,
+            Self::MemoryBudget,
+            Self::WorkerLost,
+        ]
+        .into_iter()
+        .find(|r| r.tag() == tag)
+    }
 }
 
 impl std::fmt::Display for TruncationReason {
@@ -525,31 +549,30 @@ impl std::fmt::Display for Verdict {
 /// loses every parallel worker is rerun sequentially.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExploreError {
-    /// A serialized VRMCKPT1 checkpoint failed validation — see
+    /// A sealed checkpoint image failed validation — see
     /// [`CheckpointFault`] for what exactly was wrong. Surfaced by
-    /// [`ResumeState::try_from_bytes`]; a service holding checkpoints
-    /// as cache artifacts treats this as "restart from scratch", never
-    /// as grounds to trust a partial decode.
+    /// [`unseal`] and the decoders built on it; a service holding
+    /// checkpoints as cache artifacts treats this as "restart from
+    /// scratch", never as grounds to trust a partial decode.
     CorruptCheckpoint(CheckpointFault),
 }
 
-/// What was wrong with a serialized checkpoint (the payload of
+/// What was wrong with a sealed checkpoint image (the payload of
 /// [`ExploreError::CorruptCheckpoint`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckpointFault {
-    /// The bytes do not start with [`CHECKPOINT_MAGIC`].
+    /// The body does not start with the expected magic — another
+    /// format, or an older version of this one.
     BadMagic,
-    /// The bytes end before a declared field does (or are too short to
-    /// even hold the footer).
+    /// The bytes are too short to hold a magic and the footer.
     Truncated,
-    /// Bytes remain after the last declared frontier entry.
-    TrailingBytes,
     /// The footer's byte-length field disagrees with the body length.
     LengthMismatch,
     /// The footer's FNV-1a checksum disagrees with the body bytes.
     ChecksumMismatch,
-    /// A frontier state's [`CheckpointState::decode`] rejected its
-    /// length-prefixed bytes.
+    /// The intact body does not decode to a walk of this workload: a
+    /// field is malformed or left over, or a frontier entry does not
+    /// rebuild a visited state.
     BadState,
 }
 
@@ -558,10 +581,9 @@ impl std::fmt::Display for CheckpointFault {
         let what = match self {
             CheckpointFault::BadMagic => "bad magic",
             CheckpointFault::Truncated => "truncated",
-            CheckpointFault::TrailingBytes => "trailing bytes",
             CheckpointFault::LengthMismatch => "footer length mismatch",
             CheckpointFault::ChecksumMismatch => "footer checksum mismatch",
-            CheckpointFault::BadState => "undecodable frontier state",
+            CheckpointFault::BadState => "undecodable body",
         };
         f.write_str(what)
     }
@@ -570,9 +592,7 @@ impl std::fmt::Display for CheckpointFault {
 impl std::fmt::Display for ExploreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ExploreError::CorruptCheckpoint(fault) => {
-                write!(f, "corrupt VRMCKPT1 checkpoint: {fault}")
-            }
+            ExploreError::CorruptCheckpoint(fault) => write!(f, "corrupt checkpoint: {fault}"),
         }
     }
 }
@@ -972,7 +992,8 @@ pub fn digest128<S: Hash + ?Sized>(s: &S) -> u128 {
 /// Produced by the drivers on truncation ([`Exploration::resume`]),
 /// consumed by [`explore`]. Emissions are **not** carried — the
 /// caller unions each run's emissions itself (set-folding callers get
-/// this for free).
+/// this for free). A caller that stores a checkpoint writes its own
+/// image of it with [`seal`] and reads it back through [`unseal`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResumeState<S> {
     /// Unexpanded `(state, depth)` pairs left on the frontier.
@@ -982,62 +1003,17 @@ pub struct ResumeState<S> {
     pub visited_digests: HashSet<u128>,
 }
 
-/// Magic + version prefix of the checkpoint byte format.
-pub const CHECKPOINT_MAGIC: &[u8; 8] = b"VRMCKPT1";
-
-/// States that can round-trip through the hand-rolled checkpoint byte
-/// format. Containers length-prefix each state, so `encode` does not
-/// need to be self-delimiting; `decode` receives exactly the bytes
-/// `encode` produced.
-pub trait CheckpointState: Sized {
-    /// Appends this state's byte representation to `out`.
-    fn encode(&self, out: &mut Vec<u8>);
-    /// Rebuilds a state from exactly the bytes `encode` wrote, or
-    /// `None` if they are malformed.
-    fn decode(bytes: &[u8]) -> Option<Self>;
-}
-
-impl CheckpointState for u64 {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-
-    fn decode(bytes: &[u8]) -> Option<Self> {
-        Some(u64::from_le_bytes(bytes.try_into().ok()?))
-    }
-}
-
-fn take<'a>(b: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
-    if b.len() < n {
-        return None;
-    }
-    let (head, tail) = b.split_at(n);
-    *b = tail;
-    Some(head)
-}
-
-fn take_u32(b: &mut &[u8]) -> Option<u32> {
-    Some(u32::from_le_bytes(take(b, 4)?.try_into().ok()?))
-}
-
-fn take_u64(b: &mut &[u8]) -> Option<u64> {
-    Some(u64::from_le_bytes(take(b, 8)?.try_into().ok()?))
-}
-
-fn take_u128(b: &mut &[u8]) -> Option<u128> {
-    Some(u128::from_le_bytes(take(b, 16)?.try_into().ok()?))
-}
-
-/// Byte length of the checkpoint integrity footer appended by
-/// [`ResumeState::to_bytes`]: an 8-byte LE body length followed by an
-/// 8-byte LE FNV-1a checksum of the body (magic included).
+/// Byte length of the integrity footer [`seal`] appends to a durable
+/// image: an 8-byte LE body length followed by an 8-byte LE
+/// [`checksum64`] of the body (magic included).
 pub const CHECKPOINT_FOOTER_LEN: usize = 16;
 
-/// FNV-1a 64-bit over `bytes` — the checkpoint footer checksum. Not
-/// cryptographic; it guards against truncation and bit rot of a
-/// checkpoint held as a service-level artifact, not against an
-/// adversary.
-fn fnv1a64(bytes: &[u8]) -> u64 {
+/// FNV-1a 64 over `bytes`: the integrity checksum of every durable
+/// image in the workspace — the footer of a [`seal`]ed checkpoint and
+/// each record of the `vrm-serve` write-ahead log. Not cryptographic;
+/// it guards against truncation and bit rot of a stored artifact, not
+/// against an adversary.
+pub fn checksum64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         h ^= b as u64;
@@ -1046,177 +1022,106 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The checkpoint footer's FNV-1a 64 checksum, exposed so sibling
-/// binary framings (the schedule-resume container in `vrm-sekvm`, the
-/// `vrm-serve` write-ahead log) share one integrity convention instead
-/// of reimplementing it.
-pub fn checksum64(bytes: &[u8]) -> u64 {
-    fnv1a64(bytes)
+/// Appends the integrity footer ([`CHECKPOINT_FOOTER_LEN`] bytes) to
+/// `body`, a durable image that starts with its own 8-byte magic, so
+/// that [`unseal`] rejects a truncated or corrupted copy wholesale.
+pub fn seal(mut body: Vec<u8>) -> Vec<u8> {
+    let (len, sum) = (body.len() as u64, checksum64(&body));
+    body.extend_from_slice(&len.to_le_bytes());
+    body.extend_from_slice(&sum.to_le_bytes());
+    body
 }
 
-impl<S> ResumeState<S> {
-    /// Serializes the checkpoint to the hand-rolled binary format:
-    /// magic, digest count + digests (16-byte LE), frontier count, per
-    /// frontier entry a depth, a length prefix and the state's
-    /// [`CheckpointState::encode`] bytes — then an integrity footer
-    /// ([`CHECKPOINT_FOOTER_LEN`] bytes: body length + FNV-1a checksum)
-    /// so a stored checkpoint that was truncated or corrupted is
-    /// rejected wholesale by [`ResumeState::try_from_bytes`] instead of
-    /// mis-decoding.
-    pub fn to_bytes(&self) -> Vec<u8>
-    where
-        S: CheckpointState,
-    {
-        let mut out = Vec::new();
-        out.extend_from_slice(CHECKPOINT_MAGIC);
-        out.extend_from_slice(&(self.visited_digests.len() as u64).to_le_bytes());
-        for d in &self.visited_digests {
-            out.extend_from_slice(&d.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.frontier.len() as u64).to_le_bytes());
-        for (s, depth) in &self.frontier {
-            out.extend_from_slice(&(*depth as u64).to_le_bytes());
-            let mut enc = Vec::new();
-            s.encode(&mut enc);
-            out.extend_from_slice(&(enc.len() as u32).to_le_bytes());
-            out.extend_from_slice(&enc);
-        }
-        let body_len = out.len() as u64;
-        let sum = fnv1a64(&out);
-        out.extend_from_slice(&body_len.to_le_bytes());
-        out.extend_from_slice(&sum.to_le_bytes());
-        out
+/// Verifies a [`seal`]ed image — the footer's body length, then its
+/// checksum, then the leading `magic` — before any field is read, and
+/// returns a cursor over the body past the magic. A decoder therefore
+/// never sees a clipped or bit-flipped body, and a flipped count can
+/// never drive a huge allocation.
+pub fn unseal<'a>(bytes: &'a [u8], magic: &[u8; 8]) -> Result<Cursor<'a>, ExploreError> {
+    let fail = |f| Err(ExploreError::CorruptCheckpoint(f));
+    let body_len = match bytes.len().checked_sub(CHECKPOINT_FOOTER_LEN) {
+        Some(n) if n >= magic.len() => n,
+        _ => return fail(CheckpointFault::Truncated),
+    };
+    let (body, footer) = bytes.split_at(body_len);
+    let mut footer = Cursor::new(footer);
+    if footer.u64() != Some(body_len as u64) {
+        return fail(CheckpointFault::LengthMismatch);
     }
-
-    /// Parses a checkpoint produced by [`ResumeState::to_bytes`],
-    /// reporting *why* rejection happened. The footer is verified
-    /// first (length, then checksum), so any truncation or corruption
-    /// anywhere in the body is caught before field-by-field decoding
-    /// begins — decoding never panics and never returns a partially
-    /// reconstructed checkpoint.
-    pub fn try_from_bytes(bytes: &[u8]) -> Result<Self, ExploreError>
-    where
-        S: CheckpointState,
-    {
-        let fail = |f: CheckpointFault| Err(ExploreError::CorruptCheckpoint(f));
-        if bytes.len() < CHECKPOINT_MAGIC.len() + CHECKPOINT_FOOTER_LEN {
-            return fail(CheckpointFault::Truncated);
-        }
-        let (body, footer) = bytes.split_at(bytes.len() - CHECKPOINT_FOOTER_LEN);
-        let declared_len = u64::from_le_bytes(footer[..8].try_into().unwrap());
-        let declared_sum = u64::from_le_bytes(footer[8..].try_into().unwrap());
-        if declared_len != body.len() as u64 {
-            return fail(CheckpointFault::LengthMismatch);
-        }
-        if declared_sum != fnv1a64(body) {
-            return fail(CheckpointFault::ChecksumMismatch);
-        }
-        let mut b = body;
-        match take(&mut b, CHECKPOINT_MAGIC.len()) {
-            Some(magic) if magic == CHECKPOINT_MAGIC => {}
-            Some(_) => return fail(CheckpointFault::BadMagic),
-            None => return fail(CheckpointFault::Truncated),
-        }
-        let Some(n) = take_u64(&mut b) else {
-            return fail(CheckpointFault::Truncated);
-        };
-        let mut visited_digests = HashSet::with_capacity((n as usize).min(1 << 20));
-        for _ in 0..n {
-            let Some(d) = take_u128(&mut b) else {
-                return fail(CheckpointFault::Truncated);
-            };
-            visited_digests.insert(d);
-        }
-        let Some(m) = take_u64(&mut b) else {
-            return fail(CheckpointFault::Truncated);
-        };
-        let mut frontier = Vec::with_capacity((m as usize).min(1 << 20));
-        for _ in 0..m {
-            let (Some(depth), Some(len)) = (take_u64(&mut b), take_u32(&mut b)) else {
-                return fail(CheckpointFault::Truncated);
-            };
-            let Some(raw) = take(&mut b, len as usize) else {
-                return fail(CheckpointFault::Truncated);
-            };
-            let Some(state) = S::decode(raw) else {
-                return fail(CheckpointFault::BadState);
-            };
-            frontier.push((state, depth as usize));
-        }
-        if !b.is_empty() {
-            return fail(CheckpointFault::TrailingBytes);
-        }
-        Ok(ResumeState {
-            frontier,
-            visited_digests,
-        })
+    if footer.u64() != Some(checksum64(body)) {
+        return fail(CheckpointFault::ChecksumMismatch);
     }
-
-    /// [`ResumeState::try_from_bytes`] with the fault discarded; kept
-    /// for callers that only care whether the checkpoint is usable.
-    pub fn from_bytes(b: &[u8]) -> Option<Self>
-    where
-        S: CheckpointState,
-    {
-        Self::try_from_bytes(b).ok()
+    let mut c = Cursor::new(body);
+    if c.take(magic.len()) != Some(&magic[..]) {
+        return fail(CheckpointFault::BadMagic);
     }
+    Ok(c)
 }
 
-/// A type-erased, owned checkpoint: a [`ResumeState`] boxed behind
-/// `Any` so layers that cannot name a space's (often private) state
-/// type — a verdict cache, a job queue — can still hold and hand back
-/// the checkpoint for [`explore`]. The producing layer parks it
-/// with the concrete type and is the only one that can resume it; a
-/// mismatched `resume::<T>()` returns `None` rather than corrupting
-/// the walk.
-pub struct Checkpoint {
-    state: Box<dyn std::any::Any + Send>,
-    frontier_len: usize,
-    visited: usize,
+/// A little-endian reader over a byte slice: the one decoder of every
+/// durable format in the workspace (sealed checkpoints, write-ahead-log
+/// records). Each read consumes its bytes, or returns `None` when too
+/// few remain.
+#[derive(Debug)]
+pub struct Cursor<'a> {
+    rest: &'a [u8],
 }
 
-impl Checkpoint {
-    /// Erases `rs` into an opaque, `Send` checkpoint handle.
-    pub fn park<S: Send + 'static>(rs: ResumeState<S>) -> Checkpoint {
-        Checkpoint {
-            frontier_len: rs.frontier.len(),
-            visited: rs.visited_digests.len(),
-            state: Box::new(rs),
+impl<'a> Cursor<'a> {
+    /// A cursor at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Cursor<'a> {
+        Cursor { rest: bytes }
+    }
+
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        if self.rest.len() < n {
+            return None;
         }
+        let (head, tail) = self.rest.split_at(n);
+        self.rest = tail;
+        Some(head)
     }
 
-    /// Recovers the concrete [`ResumeState`] parked by
-    /// [`Checkpoint::park`]; `None` iff `S` is not the parked type.
-    pub fn resume<S: Send + 'static>(self) -> Option<ResumeState<S>> {
-        self.state.downcast::<ResumeState<S>>().ok().map(|b| *b)
+    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        self.take(N).map(|b| b.try_into().expect("N bytes"))
     }
 
-    /// Borrows the parked [`ResumeState`] without consuming the
-    /// handle; `None` iff `S` is not the parked type. This is what a
-    /// serializer uses: the producing layer can encode a parked
-    /// frontier (e.g. to a durable store) while the checkpoint stays
-    /// resumable in memory.
-    pub fn peek<S: Send + 'static>(&self) -> Option<&ResumeState<S>> {
-        self.state.downcast_ref::<ResumeState<S>>()
+    /// The next byte.
+    pub fn u8(&mut self) -> Option<u8> {
+        self.array().map(u8::from_le_bytes)
     }
 
-    /// Number of unexpanded frontier entries parked in this checkpoint.
-    pub fn frontier_len(&self) -> usize {
-        self.frontier_len
+    /// The next little-endian `u16`.
+    pub fn u16(&mut self) -> Option<u16> {
+        self.array().map(u16::from_le_bytes)
     }
 
-    /// Number of visited-state digests parked in this checkpoint.
-    pub fn visited(&self) -> usize {
-        self.visited
+    /// The next little-endian `u32`.
+    pub fn u32(&mut self) -> Option<u32> {
+        self.array().map(u32::from_le_bytes)
     }
-}
 
-impl std::fmt::Debug for Checkpoint {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Checkpoint")
-            .field("frontier_len", &self.frontier_len)
-            .field("visited", &self.visited)
-            .finish_non_exhaustive()
+    /// The next little-endian `u64`.
+    pub fn u64(&mut self) -> Option<u64> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// The next little-endian `u128`.
+    pub fn u128(&mut self) -> Option<u128> {
+        self.array().map(u128::from_le_bytes)
+    }
+
+    /// A `u32` byte length, then that many bytes of UTF-8; `None` also
+    /// when the bytes are not UTF-8.
+    pub fn str(&mut self) -> Option<&'a str> {
+        let n = self.u32()? as usize;
+        std::str::from_utf8(self.take(n)?).ok()
+    }
+
+    /// `true` once every byte has been read.
+    pub fn is_empty(&self) -> bool {
+        self.rest.is_empty()
     }
 }
 
@@ -3014,99 +2919,95 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_bytes_roundtrip() {
-        let space = Chain { len: 1_000 };
-        let r = explore(&space, &ExploreConfig::with_max_states(25), None);
-        let ckpt = r.resume.unwrap();
-        let bytes = ckpt.to_bytes();
-        let back = ResumeState::<u64>::from_bytes(&bytes).unwrap();
-        assert_eq!(back, ckpt);
-        // And the deserialized checkpoint actually resumes the walk.
-        let resumed = explore(&space, &ExploreConfig::default(), Some(back));
-        assert!(resumed.stats.completeness.is_exhaustive());
-        assert_eq!(r.stats.states + resumed.stats.states, 1_001);
-    }
+    fn sealed_images_reject_every_corruption() {
+        const MAGIC: &[u8; 8] = b"VRMTEST1";
+        let mut body = MAGIC.to_vec();
+        body.push(9);
+        body.extend_from_slice(&0xbeefu16.to_le_bytes());
+        body.extend_from_slice(&7u32.to_le_bytes());
+        body.extend_from_slice(&u64::MAX.to_le_bytes());
+        body.extend_from_slice(&digest128(&1u64).to_le_bytes());
+        body.extend_from_slice(&2u32.to_le_bytes());
+        body.extend_from_slice(b"ok");
+        let good = seal(body.clone());
+        assert_eq!(good.len(), body.len() + CHECKPOINT_FOOTER_LEN);
+        let mut c = unseal(&good, MAGIC).expect("an intact image unseals");
+        assert_eq!(c.u8(), Some(9));
+        assert_eq!(c.u16(), Some(0xbeef));
+        assert_eq!(c.u32(), Some(7));
+        assert_eq!(c.u64(), Some(u64::MAX));
+        assert_eq!(c.u128(), Some(digest128(&1u64)));
+        assert_eq!(c.str(), Some("ok"));
+        assert!(c.is_empty());
+        assert_eq!(c.u8(), None, "reads past the end fail");
+        let mut not_utf8 = Cursor::new(&[1, 0, 0, 0, 0xff]);
+        assert_eq!(not_utf8.str(), None);
 
-    #[test]
-    fn corrupt_checkpoints_are_rejected() {
-        let ckpt = ResumeState::<u64> {
-            frontier: vec![(7, 3), (9, 1)],
-            visited_digests: [digest128(&1u64), digest128(&2u64)].into_iter().collect(),
-        };
-        let good = ckpt.to_bytes();
-        assert_eq!(ResumeState::<u64>::from_bytes(&good).unwrap(), ckpt);
-        // Bad magic.
-        let mut bad = good.clone();
-        bad[0] ^= 0xff;
-        assert!(ResumeState::<u64>::from_bytes(&bad).is_none());
-        // Truncated at every length.
-        for cut in 0..good.len() {
-            assert!(
-                ResumeState::<u64>::from_bytes(&good[..cut]).is_none(),
-                "cut={cut}"
-            );
-        }
-        // Trailing garbage.
-        let mut long = good.clone();
-        long.push(0);
-        assert!(ResumeState::<u64>::from_bytes(&long).is_none());
-    }
-
-    #[test]
-    fn corrupt_checkpoints_report_the_fault() {
-        let ckpt = ResumeState::<u64> {
-            frontier: vec![(7, 3), (9, 1)],
-            visited_digests: [digest128(&1u64), digest128(&2u64)].into_iter().collect(),
-        };
-        let good = ckpt.to_bytes();
-        let fault = |bytes: &[u8]| match ResumeState::<u64>::try_from_bytes(bytes) {
-            Ok(_) => panic!("mangled checkpoint decoded"),
+        let fault = |bytes: &[u8]| match unseal(bytes, MAGIC) {
+            Ok(_) => panic!("a mangled image unsealed"),
             Err(ExploreError::CorruptCheckpoint(f)) => f,
         };
-        // Any single flipped bit anywhere in the body trips the
-        // checksum (the footer is verified before any field decoding,
-        // so a flipped count can never drive a huge allocation or a
-        // partial parse).
-        for byte in 0..good.len() - CHECKPOINT_FOOTER_LEN {
-            let mut bad = good.clone();
-            bad[byte] ^= 0x01;
-            let f = fault(&bad);
+        // Any flipped bit anywhere in the body trips the checksum: the
+        // footer is verified before any field is read.
+        for byte in 0..body.len() {
+            for bit in 0..8 {
+                let mut bad = good.clone();
+                bad[byte] ^= 1 << bit;
+                assert_eq!(
+                    fault(&bad),
+                    CheckpointFault::ChecksumMismatch,
+                    "byte {byte} bit {bit}"
+                );
+            }
+        }
+        // Clipped at every length, or grown by a byte: rejected.
+        for cut in 0..good.len() {
+            let f = fault(&good[..cut]);
             assert!(
-                f == CheckpointFault::ChecksumMismatch,
-                "byte {byte}: expected ChecksumMismatch, got {f:?}"
+                matches!(
+                    f,
+                    CheckpointFault::Truncated
+                        | CheckpointFault::LengthMismatch
+                        | CheckpointFault::ChecksumMismatch
+                ),
+                "cut={cut}: {f:?}"
             );
         }
-        // Bytes lost from the end: the footer length no longer matches
-        // (or there are not even enough bytes for the footer).
-        let f = fault(&good[..good.len() - 1]);
-        assert!(matches!(
-            f,
-            CheckpointFault::LengthMismatch | CheckpointFault::ChecksumMismatch
-        ));
         assert_eq!(fault(&good[..4]), CheckpointFault::Truncated);
         assert_eq!(fault(&[]), CheckpointFault::Truncated);
-        // A corrupt footer itself is caught too.
+        let mut long = good.clone();
+        long.push(0);
+        fault(&long);
+        // A corrupt footer is caught too.
         let mut bad_footer = good.clone();
-        let n = bad_footer.len();
-        bad_footer[n - 1] ^= 0xff;
+        *bad_footer.last_mut().expect("non-empty") ^= 0xff;
         assert_eq!(fault(&bad_footer), CheckpointFault::ChecksumMismatch);
-        // And an internally consistent body with the wrong magic gets
-        // the specific BadMagic fault: rebuild the footer over it.
-        let mut wrong_magic = good[..good.len() - CHECKPOINT_FOOTER_LEN].to_vec();
-        wrong_magic[0] = b'X';
-        let sum = {
-            // Recompute the footer the same way to_bytes does.
-            let body_len = wrong_magic.len() as u64;
-            let mut h = 0xcbf2_9ce4_8422_2325u64;
-            for &b in &wrong_magic {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-            (body_len, h)
-        };
-        wrong_magic.extend_from_slice(&sum.0.to_le_bytes());
-        wrong_magic.extend_from_slice(&sum.1.to_le_bytes());
-        assert_eq!(fault(&wrong_magic), CheckpointFault::BadMagic);
+        // An intact image of another format, or of another version of
+        // this one, is refused on its magic.
+        let mut other = body;
+        other[7] = b'0';
+        assert_eq!(fault(&seal(other)), CheckpointFault::BadMagic);
+    }
+
+    #[test]
+    fn truncation_reason_tags_are_stable() {
+        use TruncationReason::*;
+        let tagged: Vec<(u8, TruncationReason)> = (0..=u8::MAX)
+            .filter_map(|t| Some((t, TruncationReason::from_tag(t)?)))
+            .collect();
+        assert_eq!(
+            tagged,
+            [
+                (0, StateLimit),
+                (1, DepthLimit),
+                (2, Deadline),
+                (3, MemoryBudget),
+                (4, WorkerLost)
+            ]
+        );
+        for (t, r) in tagged {
+            assert_eq!(r.tag(), t);
+        }
     }
 
     #[test]
@@ -3149,29 +3050,6 @@ mod tests {
         assert_eq!(Verdict::merge_exit_codes(2, 3), 2);
         assert_eq!(Verdict::merge_exit_codes(0, 2), 2);
         assert_eq!(Verdict::merge_exit_codes(2, 1), 1);
-    }
-
-    #[test]
-    fn parked_checkpoints_resume_only_at_their_own_type() {
-        let space = Chain { len: 100 };
-        let r = explore(&space, &ExploreConfig::with_max_states(25), None);
-        let ckpt = r.resume.unwrap();
-        let (frontier_len, visited) = (ckpt.frontier.len(), ckpt.visited_digests.len());
-        let parked = Checkpoint::park(ckpt);
-        assert_eq!(parked.frontier_len(), frontier_len);
-        assert_eq!(parked.visited(), visited);
-        // Wrong state type: refused, not mis-resumed.
-        assert!(Checkpoint::park(ResumeState::<u64> {
-            frontier: vec![],
-            visited_digests: HashSet::new(),
-        })
-        .resume::<u32>()
-        .is_none());
-        // Right type: the walk completes from where it stopped.
-        let back = parked.resume::<u64>().unwrap();
-        let resumed = explore(&space, &ExploreConfig::default(), Some(back));
-        assert!(resumed.stats.completeness.is_exhaustive());
-        assert_eq!(r.stats.states + resumed.stats.states, 101);
     }
 
     #[test]

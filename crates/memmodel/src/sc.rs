@@ -47,22 +47,13 @@ impl Default for ScConfig {
     }
 }
 
-/// Errors from exhaustive exploration. Budget exhaustion is *not* an
-/// error any more — it truncates the enumeration, which callers see as
+/// Why a program could not be explored. Budget exhaustion is *not* an
+/// error: it truncates the enumeration, which callers see as
 /// [`Completeness::Truncated`](vrm_explore::Completeness) on the
-/// returned outcome set's stats. The legacy budget variants remain for
-/// callers that still construct them at their own layer (e.g. schedule
-/// step bounds).
+/// returned outcome set's stats. What remains is a program the model
+/// cannot run at all.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExploreError {
-    /// The state-space bound was exceeded (legacy: the engine now
-    /// truncates instead of erroring; only caller-level step bounds
-    /// still construct this).
-    StateLimit(usize),
-    /// A path exceeded a caller-level depth bound.
-    DepthLimit(usize),
-    /// The exploration outran a caller-level deadline.
-    Deadline,
     /// A virtual access was executed without [`Program::vm`] being set.
     NoVmConfig,
 }
@@ -70,9 +61,6 @@ pub enum ExploreError {
 impl std::fmt::Display for ExploreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ExploreError::StateLimit(n) => write!(f, "state limit exceeded ({n} states)"),
-            ExploreError::DepthLimit(d) => write!(f, "depth limit exceeded (depth {d})"),
-            ExploreError::Deadline => write!(f, "exploration deadline exceeded"),
             ExploreError::NoVmConfig => write!(f, "virtual access without VmConfig"),
         }
     }

@@ -31,8 +31,8 @@ pub const JOBS_COMPLETED: &str = "serve/jobs_completed";
 /// Jobs whose fast-lane run came back `Unknown` and were re-run on the
 /// escalation lane with doubled budgets.
 pub const JOBS_ESCALATED: &str = "serve/jobs_escalated";
-/// Escalated or re-queried jobs that resumed from a cached VRMCKPT1
-/// checkpoint instead of restarting from scratch.
+/// Escalated or re-queried jobs that resumed from a parked checkpoint
+/// (its sealed `VRMSRES3` image) instead of restarting from scratch.
 pub const CHECKPOINT_RESUME: &str = "serve/checkpoint_resume";
 /// Cached checkpoints rejected as corrupt (footer or decode failure).
 pub const CHECKPOINT_CORRUPT: &str = "serve/checkpoint_corrupt";

@@ -8,13 +8,16 @@
 //! releases. A seeded scheduler picks the next CPU each step, so runs are
 //! reproducible while exercising many interleavings.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 
-use vrm_explore::{ExploreConfig, ExploreStats, Sink, StateSpace};
+use vrm_explore::{
+    CheckpointFault, Completeness, Cursor, ExploreConfig, ExploreError, ExploreStats, ResumeState,
+    Sink, StateSpace, TruncationReason,
+};
 use vrm_memmodel::ir::{Addr, Val};
 use vrm_memmodel::symm;
 
@@ -611,15 +614,13 @@ impl Machine {
     /// that is never released) is pruned by the visited-set and simply
     /// contributes no terminal outcome.
     ///
-    /// The walk itself cannot fail; the `Result` is
-    /// [`explore_schedules_from`](Self::explore_schedules_from)'s, whose
-    /// checkpoint can be refused.
+    /// The walk cannot fail: this never returns `Err`.
     pub fn explore_schedules(
         cfg: KCoreConfig,
         scripts: Vec<Script>,
         ecfg: &ExhaustiveConfig,
     ) -> Result<ExhaustiveReport, vrm_explore::ExploreError> {
-        Self::explore_schedules_from(cfg, scripts, ecfg, None)
+        Ok(Self::explore_schedules_from(cfg, scripts, ecfg, None))
     }
 
     /// [`explore_schedules`](Self::explore_schedules), optionally
@@ -634,16 +635,15 @@ impl Machine {
     /// prior, covered the whole space.
     ///
     /// This is the handoff a serving layer uses: cache the
-    /// `ScheduleResume` beside an `Unknown` verdict, and a re-query
-    /// with a larger budget continues the walk it paid for. The only
-    /// error is [`vrm_explore::ExploreError::CorruptCheckpoint`], for a
-    /// `prior` whose checkpoint cannot be recovered.
+    /// `ScheduleResume` (or its [`to_bytes`](ScheduleResume::to_bytes)
+    /// image) beside an `Unknown` verdict, and a re-query with a larger
+    /// budget continues the walk it paid for.
     pub fn explore_schedules_from(
         cfg: KCoreConfig,
         scripts: Vec<Script>,
         ecfg: &ExhaustiveConfig,
         prior: Option<ScheduleResume>,
-    ) -> Result<ExhaustiveReport, vrm_explore::ExploreError> {
+    ) -> ExhaustiveReport {
         let _span = vrm_obs::span!(
             "machine.explore_schedules",
             scripts = scripts.len(),
@@ -652,17 +652,7 @@ impl Machine {
         );
         let space = RefineSpace::new(cfg, scripts, false);
         let (seed, mut outcomes, prior_stats) = match prior {
-            Some(p) => {
-                // The checkpoint can only have been parked by this
-                // module (the fields are private), so the downcast
-                // failing means the handle was corrupted in storage.
-                let Some(rs) = p.checkpoint.resume::<SchedNode>() else {
-                    return Err(vrm_explore::ExploreError::CorruptCheckpoint(
-                        vrm_explore::CheckpointFault::BadState,
-                    ));
-                };
-                (Some(rs), p.outcomes, Some(p.stats))
-            }
+            Some(p) => (Some(p.checkpoint), p.outcomes, Some(p.stats)),
             None => (None, BTreeSet::new(), None),
         };
         let ex = vrm_explore::explore(&space, &ecfg.engine(), seed);
@@ -676,16 +666,16 @@ impl Machine {
             stats.absorb(&prior);
             stats.completeness = completeness;
         }
-        let resume = ex.resume.map(|rs| ScheduleResume {
-            checkpoint: vrm_explore::Checkpoint::park(rs),
+        let resume = ex.resume.map(|checkpoint| ScheduleResume {
+            checkpoint,
             outcomes: outcomes.clone(),
             stats,
         });
-        Ok(ExhaustiveReport {
+        ExhaustiveReport {
             outcomes,
             stats,
             resume,
-        })
+        }
     }
 
     /// Checks refinement over **every** scheduler interleaving: each
@@ -841,22 +831,32 @@ impl SchedOutcome {
 
 /// A suspended schedule exploration, produced by a truncated
 /// [`Machine::explore_schedules`] run and consumed by
-/// [`Machine::explore_schedules_from`]. Wraps the engine's checkpoint
-/// type-erased (the schedule node type is private to this module)
-/// together with the partial outcomes and stats already paid for, so a
-/// holder — e.g. a verdict cache — can suspend and later continue the
-/// walk without naming any machine internals.
-#[derive(Debug)]
+/// [`Machine::explore_schedules_from`]: the engine's checkpoint over
+/// this module's private scheduling nodes, together with the partial
+/// outcomes and stats already paid for, so a holder — e.g. a verdict
+/// cache — can suspend and later continue the walk without naming any
+/// machine internals.
 pub struct ScheduleResume {
-    checkpoint: vrm_explore::Checkpoint,
+    checkpoint: ResumeState<SchedNode>,
     outcomes: BTreeSet<SchedOutcome>,
     stats: ExploreStats,
+}
+
+impl std::fmt::Debug for ScheduleResume {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ScheduleResume")
+            .field("frontier_len", &self.frontier_len())
+            .field("visited", &self.checkpoint.visited_digests.len())
+            .field("outcomes", &self.outcomes)
+            .field("stats", &self.stats)
+            .finish()
+    }
 }
 
 impl ScheduleResume {
     /// Unexpanded frontier entries parked in the checkpoint.
     pub fn frontier_len(&self) -> usize {
-        self.checkpoint.frontier_len()
+        self.checkpoint.frontier.len()
     }
 
     /// Distinct states visited before the walk was suspended.
@@ -864,33 +864,35 @@ impl ScheduleResume {
         self.stats.states
     }
 
-    /// Serializes the suspended walk to a self-contained, checksummed
-    /// byte blob (`VRMSRES2`): the frontier as **schedule paths** (CPU
-    /// choices from the root, replayed by the private scheduling
-    /// node's deterministic single-step function) inside a
-    /// VRMCKPT1 container, plus the visited digests, partial outcomes
-    /// and stats. A `KCore` is never encoded; determinism of the step
-    /// function is what makes the paths a faithful image. `None` only
-    /// if the handle holds a foreign checkpoint type (cannot happen
-    /// for checkpoints this module produced).
+    /// Serializes the suspended walk to one [`vrm_explore::seal`]ed
+    /// image behind [`RESUME_MAGIC`]: the visited digests in ascending
+    /// order, each frontier entry as its depth and **schedule path**
+    /// (the CPU choices from the root, which replay repeats), the
+    /// partial outcomes in order, and the stats. A `KCore` is never
+    /// encoded; determinism of the step function is what makes the
+    /// paths a faithful image, and the fixed orders make the image
+    /// canonical: [`from_bytes`](Self::from_bytes) followed by
+    /// `to_bytes` returns the same bytes.
     ///
     /// This is the durable/wire format: the serve layer's write-ahead
     /// log and worker-process stdio both carry exactly these bytes.
+    /// Never `None`.
     pub fn to_bytes(&self) -> Option<Vec<u8>> {
-        let rs = self.checkpoint.peek::<SchedNode>()?;
-        let inner = vrm_explore::ResumeState {
-            frontier: rs
-                .frontier
-                .iter()
-                .map(|(n, d)| (SchedPath(n.path.clone()), *d))
-                .collect(),
-            visited_digests: rs.visited_digests.clone(),
+        let mut out = RESUME_MAGIC.to_vec();
+        let mut digests: Vec<u128> = self.checkpoint.visited_digests.iter().copied().collect();
+        digests.sort_unstable();
+        out.extend_from_slice(&(digests.len() as u64).to_le_bytes());
+        for d in digests {
+            out.extend_from_slice(&d.to_le_bytes());
         }
-        .to_bytes();
-        let mut out = Vec::with_capacity(inner.len() + 256);
-        out.extend_from_slice(RESUME_MAGIC);
-        out.extend_from_slice(&(inner.len() as u64).to_le_bytes());
-        out.extend_from_slice(&inner);
+        out.extend_from_slice(&(self.checkpoint.frontier.len() as u64).to_le_bytes());
+        for (node, depth) in &self.checkpoint.frontier {
+            out.extend_from_slice(&(*depth as u64).to_le_bytes());
+            out.extend_from_slice(&(node.path.len() as u32).to_le_bytes());
+            for &cpu in &node.path {
+                out.extend_from_slice(&cpu.to_le_bytes());
+            }
+        }
         out.extend_from_slice(&(self.outcomes.len() as u64).to_le_bytes());
         for o in &self.outcomes {
             out.extend_from_slice(&(o.ops_ok as u64).to_le_bytes());
@@ -917,240 +919,130 @@ impl ScheduleResume {
             out.extend_from_slice(&v.to_le_bytes());
         }
         match st.completeness {
-            vrm_explore::Completeness::Exhaustive => out.push(0),
-            vrm_explore::Completeness::Truncated {
+            Completeness::Exhaustive => out.push(0),
+            Completeness::Truncated {
                 reason,
                 frontier_len,
             } => {
                 out.push(1);
-                out.push(reason_tag(reason));
+                out.push(reason.tag());
                 out.extend_from_slice(&(frontier_len as u64).to_le_bytes());
             }
         }
-        let body_len = out.len() as u64;
-        let sum = vrm_explore::checksum64(&out);
-        out.extend_from_slice(&body_len.to_le_bytes());
-        out.extend_from_slice(&sum.to_le_bytes());
-        Some(out)
+        Some(vrm_explore::seal(out))
     }
 
-    /// Reconstructs a suspended walk from [`to_bytes`](Self::to_bytes)
-    /// output by replaying each frontier path from the workload's
-    /// initial state. Every replayed node's [`vrm_explore::digest128`]
-    /// must appear in the blob's own visited set — a blob produced
-    /// against a different build or workload fails this soundness
-    /// check and is rejected as corrupt rather than silently resuming
-    /// a wrong walk. All rejections surface as
-    /// [`vrm_explore::ExploreError::CorruptCheckpoint`], which callers
-    /// already treat as "restart from scratch".
+    /// Reconstructs a suspended walk from a [`to_bytes`](Self::to_bytes)
+    /// image by replaying each frontier path from the workload's
+    /// initial state. [`vrm_explore::unseal`] checks the footer and the
+    /// magic before any field is read, so a clipped or bit-flipped
+    /// image, or a `VRMSRES1`/`VRMSRES2` blob of an older build, is
+    /// refused whole. Every replayed node's [`vrm_explore::digest128`]
+    /// must appear in the image's own visited set: an image parked by
+    /// a different build or workload fails this soundness check
+    /// ([`CheckpointFault::BadState`]) instead of silently resuming a
+    /// wrong walk. All rejections surface as
+    /// [`ExploreError::CorruptCheckpoint`], which callers already treat
+    /// as "restart from scratch".
     pub fn from_bytes(
         cfg: KCoreConfig,
         scripts: Vec<Script>,
         bytes: &[u8],
-    ) -> Result<ScheduleResume, vrm_explore::ExploreError> {
-        use vrm_explore::{CheckpointFault, ExploreError};
-        let fail = |f: CheckpointFault| Err(ExploreError::CorruptCheckpoint(f));
-        if bytes.len() < RESUME_MAGIC.len() + vrm_explore::CHECKPOINT_FOOTER_LEN {
-            return fail(CheckpointFault::Truncated);
-        }
-        let (body, footer) = bytes.split_at(bytes.len() - vrm_explore::CHECKPOINT_FOOTER_LEN);
-        let declared_len = u64::from_le_bytes(footer[..8].try_into().expect("8-byte slice"));
-        let declared_sum = u64::from_le_bytes(footer[8..].try_into().expect("8-byte slice"));
-        if declared_len != body.len() as u64 {
-            return fail(CheckpointFault::LengthMismatch);
-        }
-        if declared_sum != vrm_explore::checksum64(body) {
-            return fail(CheckpointFault::ChecksumMismatch);
-        }
-        let mut b = body;
-        match take(&mut b, RESUME_MAGIC.len()) {
-            Some(m) if m == RESUME_MAGIC => {}
-            Some(_) => return fail(CheckpointFault::BadMagic),
-            None => return fail(CheckpointFault::Truncated),
-        }
-        let Some(inner_len) = take_u64(&mut b) else {
-            return fail(CheckpointFault::Truncated);
-        };
-        let Some(inner) = take(&mut b, inner_len as usize) else {
-            return fail(CheckpointFault::Truncated);
-        };
-        let paths: vrm_explore::ResumeState<SchedPath> =
-            vrm_explore::ResumeState::try_from_bytes(inner)?;
-        let Some(n_outcomes) = take_u64(&mut b) else {
-            return fail(CheckpointFault::Truncated);
-        };
-        let mut outcomes = BTreeSet::new();
-        for _ in 0..n_outcomes {
-            let (Some(ops_ok), Some(stalled)) = (take_u64(&mut b), take_u8(&mut b)) else {
-                return fail(CheckpointFault::Truncated);
+    ) -> Result<ScheduleResume, ExploreError> {
+        let body = vrm_explore::unseal(bytes, RESUME_MAGIC)?;
+        let root = RefineSpace::new(cfg, scripts, false).root;
+        decode_image(body, &root).ok_or(ExploreError::CorruptCheckpoint(CheckpointFault::BadState))
+    }
+}
+
+/// Decodes the body of a [`ScheduleResume`] image, rebuilding each
+/// frontier node by replaying its path from `root`. `None` when a
+/// field is malformed or left over, a path names a CPU the workload
+/// lacks, or a rebuilt node is not in the image's visited set.
+fn decode_image(mut c: Cursor<'_>, root: &SchedNode) -> Option<ScheduleResume> {
+    let identity: Vec<usize> = (0..root.cpus.len()).collect();
+    let n = c.u64()?;
+    let visited_digests = (0..n)
+        .map(|_| c.u128())
+        .collect::<Option<HashSet<u128>>>()?;
+    let n = c.u64()?;
+    let frontier = (0..n)
+        .map(|_| {
+            let depth = c.u64()? as usize;
+            let len = c.u32()?;
+            let path = (0..len)
+                .map(|_| c.u16().filter(|&cpu| usize::from(cpu) < identity.len()))
+                .collect::<Option<Vec<u16>>>()?;
+            let node = replay(root, &path, &identity);
+            visited_digests
+                .contains(&vrm_explore::digest128(&node))
+                .then_some((node, depth))
+        })
+        .collect::<Option<Vec<_>>>()?;
+    let n = c.u64()?;
+    let outcomes = (0..n)
+        .map(|_| {
+            let ops_ok = c.u64()? as usize;
+            let stalled = match c.u8()? {
+                0 => false,
+                1 => true,
+                _ => return None,
             };
-            let mut lists: [Vec<String>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-            for list in &mut lists {
-                let Some(len) = take_u32(&mut b) else {
-                    return fail(CheckpointFault::Truncated);
-                };
-                for _ in 0..len {
-                    let Some(s) = take_str(&mut b) else {
-                        return fail(CheckpointFault::BadState);
-                    };
-                    list.push(s);
-                }
-            }
-            let [failures, expectation_violations, wdrf_violations] = lists;
-            outcomes.insert(SchedOutcome {
-                ops_ok: ops_ok as usize,
+            let mut list = || -> Option<Vec<String>> {
+                let n = c.u32()?;
+                (0..n).map(|_| c.str().map(str::to_owned)).collect()
+            };
+            let failures = list()?;
+            let expectation_violations = list()?;
+            let wdrf_violations = list()?;
+            Some(SchedOutcome {
+                ops_ok,
                 failures,
                 expectation_violations,
                 wdrf_violations,
-                stalled: stalled != 0,
-            });
-        }
-        let mut nums = [0u64; 8];
-        for v in &mut nums {
-            let Some(x) = take_u64(&mut b) else {
-                return fail(CheckpointFault::Truncated);
-            };
-            *v = x;
-        }
-        let completeness = match take_u8(&mut b) {
-            Some(0) => vrm_explore::Completeness::Exhaustive,
-            Some(1) => {
-                let (Some(tag), Some(frontier_len)) = (take_u8(&mut b), take_u64(&mut b)) else {
-                    return fail(CheckpointFault::Truncated);
-                };
-                let Some(reason) = tag_reason(tag) else {
-                    return fail(CheckpointFault::BadState);
-                };
-                vrm_explore::Completeness::Truncated {
-                    reason,
-                    frontier_len: frontier_len as usize,
-                }
-            }
-            _ => return fail(CheckpointFault::BadState),
-        };
-        if !b.is_empty() {
-            return fail(CheckpointFault::TrailingBytes);
-        }
-        let stats = ExploreStats {
-            states: nums[0] as usize,
-            frontier_peak: nums[1] as usize,
-            dedup_hits: nums[2] as usize,
-            popped: nums[3] as usize,
-            pushed: nums[4] as usize,
-            steals: nums[5] as usize,
-            wall_ns: nums[6],
-            jobs: nums[7] as usize,
-            completeness,
-        };
-        let space = RefineSpace::new(cfg, scripts, false);
-        let identity: Vec<usize> = (0..space.root.cpus.len()).collect();
-        let mut frontier = Vec::with_capacity(paths.frontier.len());
-        for (SchedPath(path), depth) in paths.frontier {
-            if path.iter().any(|&cpu| usize::from(cpu) >= identity.len()) {
-                return fail(CheckpointFault::BadState);
-            }
-            let node = replay(&space.root, &path, &identity);
-            if !paths
-                .visited_digests
-                .contains(&vrm_explore::digest128(&node))
-            {
-                return fail(CheckpointFault::BadState);
-            }
-            frontier.push((node, depth));
-        }
-        Ok(ScheduleResume {
-            checkpoint: vrm_explore::Checkpoint::park(vrm_explore::ResumeState {
-                frontier,
-                visited_digests: paths.visited_digests,
-            }),
-            outcomes,
-            stats,
+                stalled,
+            })
         })
+        .collect::<Option<BTreeSet<_>>>()?;
+    let mut nums = [0u64; 8];
+    for v in &mut nums {
+        *v = c.u64()?;
     }
-}
-
-/// Magic + version prefix of the serialized [`ScheduleResume`] format
-/// ([`ScheduleResume::to_bytes`]). Version 2 carries structural state
-/// digests ([`KCore::state_digest`]) in its visited set; a version-1
-/// blob, whose digests hashed the state's debug text, is rejected as
-/// [`CheckpointFault::BadMagic`](vrm_explore::CheckpointFault::BadMagic).
-pub const RESUME_MAGIC: &[u8; 8] = b"VRMSRES2";
-
-/// A frontier entry's durable image: the schedule path reaching it from
-/// the initial state, carried through the engine's VRMCKPT1 container
-/// via [`vrm_explore::CheckpointState`].
-struct SchedPath(Vec<u16>);
-
-impl vrm_explore::CheckpointState for SchedPath {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.0.len() as u32).to_le_bytes());
-        for &c in &self.0 {
-            out.extend_from_slice(&c.to_le_bytes());
-        }
-    }
-
-    fn decode(bytes: &[u8]) -> Option<Self> {
-        let mut b = bytes;
-        let n = take_u32(&mut b)? as usize;
-        if b.len() != n * 2 {
-            return None;
-        }
-        let mut path = Vec::with_capacity(n);
-        for chunk in b.chunks_exact(2) {
-            path.push(u16::from_le_bytes([chunk[0], chunk[1]]));
-        }
-        Some(SchedPath(path))
-    }
-}
-
-fn reason_tag(r: vrm_explore::TruncationReason) -> u8 {
-    use vrm_explore::TruncationReason as T;
-    match r {
-        T::StateLimit => 0,
-        T::DepthLimit => 1,
-        T::Deadline => 2,
-        T::MemoryBudget => 3,
-        T::WorkerLost => 4,
-    }
-}
-
-fn tag_reason(tag: u8) -> Option<vrm_explore::TruncationReason> {
-    use vrm_explore::TruncationReason as T;
-    Some(match tag {
-        0 => T::StateLimit,
-        1 => T::DepthLimit,
-        2 => T::Deadline,
-        3 => T::MemoryBudget,
-        4 => T::WorkerLost,
+    let completeness = match c.u8()? {
+        0 => Completeness::Exhaustive,
+        1 => Completeness::Truncated {
+            reason: TruncationReason::from_tag(c.u8()?)?,
+            frontier_len: c.u64()? as usize,
+        },
         _ => return None,
+    };
+    let stats = ExploreStats {
+        states: nums[0] as usize,
+        frontier_peak: nums[1] as usize,
+        dedup_hits: nums[2] as usize,
+        popped: nums[3] as usize,
+        pushed: nums[4] as usize,
+        steals: nums[5] as usize,
+        wall_ns: nums[6],
+        jobs: nums[7] as usize,
+        completeness,
+    };
+    c.is_empty().then_some(ScheduleResume {
+        checkpoint: ResumeState {
+            frontier,
+            visited_digests,
+        },
+        outcomes,
+        stats,
     })
 }
 
-fn take<'a>(b: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
-    if b.len() < n {
-        return None;
-    }
-    let (head, tail) = b.split_at(n);
-    *b = tail;
-    Some(head)
-}
-
-fn take_u8(b: &mut &[u8]) -> Option<u8> {
-    take(b, 1).map(|s| s[0])
-}
-
-fn take_u32(b: &mut &[u8]) -> Option<u32> {
-    Some(u32::from_le_bytes(take(b, 4)?.try_into().ok()?))
-}
-
-fn take_u64(b: &mut &[u8]) -> Option<u64> {
-    Some(u64::from_le_bytes(take(b, 8)?.try_into().ok()?))
-}
-
-fn take_str(b: &mut &[u8]) -> Option<String> {
-    let len = take_u32(b)? as usize;
-    String::from_utf8(take(b, len)?.to_vec()).ok()
-}
+/// Magic + version prefix of the sealed [`ScheduleResume`] image
+/// ([`ScheduleResume::to_bytes`]). Version 3 is one sealed image;
+/// version 2 nested a second sealed container for the frontier, and
+/// version 1's digests hashed the state's debug text. Both are refused
+/// as [`CheckpointFault::BadMagic`].
+pub const RESUME_MAGIC: &[u8; 8] = b"VRMSRES3";
 
 /// The machine's observable behaviour over all schedules.
 #[derive(Debug)]
@@ -1703,48 +1595,64 @@ mod tests {
 
     #[test]
     fn schedule_resume_bytes_round_trip_identically() {
-        let scripts = crate::workloads::by_name("unmap").expect("unmap workload");
-        let small = ExhaustiveConfig {
-            max_states: 40,
-            jobs: 1,
-            ..ExhaustiveConfig::default()
-        };
-        let full = ExhaustiveConfig {
-            max_states: 1 << 16,
-            jobs: 1,
-            ..ExhaustiveConfig::default()
-        };
-        let starved =
-            Machine::explore_schedules(KCoreConfig::default(), scripts.clone(), &small).unwrap();
-        let parked = starved.resume.expect("a 40-state unmap walk is truncated");
-        let bytes = parked.to_bytes().expect("own checkpoints serialize");
-        let restored = ScheduleResume::from_bytes(KCoreConfig::default(), scripts.clone(), &bytes)
-            .expect("round trip");
-        assert_eq!(restored.frontier_len(), parked.frontier_len());
-        assert_eq!(restored.states_visited(), parked.states_visited());
-        // Resuming the in-memory checkpoint and the round-tripped one
-        // must finish the walk with identical results — the byte form
-        // is a faithful image, not an approximation.
-        let a = Machine::explore_schedules_from(
-            KCoreConfig::default(),
-            scripts.clone(),
-            &full,
-            Some(parked),
-        )
-        .unwrap();
-        let b = Machine::explore_schedules_from(
-            KCoreConfig::default(),
-            scripts.clone(),
-            &full,
-            Some(restored),
-        )
-        .unwrap();
-        assert_eq!(a.outcomes, b.outcomes);
-        assert_eq!(a.stats.states, b.stats.states);
-        assert_eq!(a.verdict(), b.verdict());
-        // And both agree with a from-scratch exhaustive walk.
-        let scratch = Machine::explore_schedules(KCoreConfig::default(), scripts, &full).unwrap();
-        assert_eq!(a.outcomes, scratch.outcomes);
+        // Every leg of a budget-doubling walk crosses the byte boundary:
+        // the image must re-encode byte for byte, and the resumed walk
+        // must end with a fresh exhaustive walk's outcomes and verdict,
+        // whatever the workload, reduction, driver and first budget.
+        let cfg = KCoreConfig::default();
+        for name in ["unmap", "mirror"] {
+            let scripts = crate::workloads::by_name(name).expect("registered workload");
+            for reduction in [false, true] {
+                for jobs in [1, 2] {
+                    let ecfg = |max_states| ExhaustiveConfig {
+                        max_states,
+                        jobs,
+                        reduction,
+                    };
+                    let fresh =
+                        Machine::explore_schedules_from(cfg, scripts.clone(), &ecfg(1 << 16), None);
+                    assert!(fresh.stats.completeness.is_exhaustive());
+                    for budget in [1, 5, 17, 40, 90] {
+                        let case =
+                            format!("{name} reduction={reduction} jobs={jobs} budget={budget}");
+                        let mut max_states = budget;
+                        let mut report = Machine::explore_schedules_from(
+                            cfg,
+                            scripts.clone(),
+                            &ecfg(max_states),
+                            None,
+                        );
+                        while let Some(parked) = report.resume.take() {
+                            let bytes = parked.to_bytes().expect("images are never None");
+                            let restored = ScheduleResume::from_bytes(cfg, scripts.clone(), &bytes)
+                                .unwrap_or_else(|e| panic!("{case}: {e}"));
+                            assert_eq!(
+                                restored.to_bytes().as_deref(),
+                                Some(&bytes[..]),
+                                "{case}: the image does not re-encode identically"
+                            );
+                            max_states *= 2;
+                            report = Machine::explore_schedules_from(
+                                cfg,
+                                scripts.clone(),
+                                &ecfg(max_states),
+                                Some(restored),
+                            );
+                        }
+                        assert!(report.stats.completeness.is_exhaustive(), "{case}");
+                        assert_eq!(report.outcomes, fresh.outcomes, "{case}");
+                        assert_eq!(report.verdict(), fresh.verdict(), "{case}");
+                        if !reduction {
+                            // Nothing revisited, nothing lost. (A reduced
+                            // sequential checkpoint carries only its
+                            // frontier's digests, so its resumption may
+                            // revisit states: docs/REDUCTION.md §5.)
+                            assert_eq!(report.stats.states, fresh.stats.states, "{case}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -2145,8 +2053,7 @@ mod tests {
             scripts(),
             &ExhaustiveConfig::default(),
             Some(resume),
-        )
-        .unwrap();
+        );
         assert!(resumed.stats.completeness.is_exhaustive());
         assert!(resumed.resume.is_none());
         assert_eq!(resumed.outcomes, full.outcomes);

@@ -19,12 +19,12 @@
 //! "don't know" past the point where re-exploring (resuming the parked
 //! checkpoint) could do better.
 //!
-//! The checkpoint store holds *serialized* walks — VRMSRES2 blobs from
-//! [`vrm_sekvm::machine::ScheduleResume::to_bytes`] — rather than live
-//! `ScheduleResume` values, so the same bytes flow to the in-memory
-//! store, the write-ahead log, and the out-of-process worker protocol,
-//! and the decode path is exercised on every resume instead of only
-//! after a restart.
+//! The checkpoint store holds *serialized* walks — sealed `VRMSRES3`
+//! images from [`vrm_sekvm::machine::ScheduleResume::to_bytes`] —
+//! rather than live `ScheduleResume` values, so the same bytes flow to
+//! the in-memory store, the write-ahead log, and the out-of-process
+//! worker protocol, and the decode path is exercised on every resume
+//! instead of only after a restart.
 
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
@@ -190,8 +190,8 @@ impl VerdictCache {
     }
 }
 
-/// Program-digest → suspended schedule walk (as a serialized VRMSRES2
-/// blob), bounded by an LRU cap.
+/// Program-digest → suspended schedule walk (as its sealed `VRMSRES3`
+/// image), bounded by an LRU cap.
 ///
 /// Checkpoints are single-use: [`take`](CheckpointStore::take) removes
 /// the entry, because resuming consumes the parked frontier. A walk

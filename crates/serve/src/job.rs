@@ -135,17 +135,11 @@ fn wdrf_config(cfg: &JobConfig) -> WdrfCheckConfig {
     w
 }
 
-/// Serializes a parked schedule walk into its durable VRMSRES2 image
-/// (`None` for the foreign-typed checkpoints that cannot travel —
-/// which [`Machine::explore_schedules`] never produces).
-pub fn encode_resume(resume: &ScheduleResume) -> Option<Vec<u8>> {
-    resume.to_bytes()
-}
-
-/// Rebuilds a parked walk from its VRMSRES2 image, replaying the
-/// serialized schedule paths under the job's own scripts. `Err` means
-/// the blob is corrupt — or parked by a different workload — and must
-/// be discarded, never resumed.
+/// Rebuilds a parked walk from its sealed `VRMSRES3` image
+/// ([`ScheduleResume::from_bytes`]), replaying the serialized schedule
+/// paths under the job's own scripts. `Err` means the blob is corrupt,
+/// of an older format, or parked by a different workload, and must be
+/// discarded, never resumed.
 pub fn decode_resume(spec: &JobSpec, bytes: &[u8]) -> Result<ScheduleResume, String> {
     let JobSpec::Schedules { workload } = spec else {
         return Err(format!("{} jobs have no checkpoints", spec.kind()));
@@ -158,9 +152,10 @@ pub fn decode_resume(spec: &JobSpec, bytes: &[u8]) -> Result<ScheduleResume, Str
 
 /// [`execute`] over serialized checkpoints: the form the service, the
 /// write-ahead log and the out-of-process worker all share. A blob
-/// that no longer decodes is counted on `serve/checkpoint_corrupt`
-/// and the walk restarts from scratch — corruption costs work, never
-/// a wrong verdict.
+/// that does not decode is counted on `serve/checkpoint_corrupt` and
+/// the walk restarts from scratch — corruption costs work, never a
+/// wrong verdict. This is the only place a checkpoint is decoded, so
+/// it is the only place one can be refused.
 pub fn execute_blob(
     spec: &JobSpec,
     cfg: &JobConfig,
@@ -177,7 +172,7 @@ pub fn execute_blob(
         None => None,
     };
     let (res, parked) = execute(spec, cfg, resume)?;
-    Ok((res, parked.as_ref().and_then(encode_resume)))
+    Ok((res, parked.as_ref().and_then(ScheduleResume::to_bytes)))
 }
 
 /// Runs one job to completion under its config, optionally resuming a
@@ -249,19 +244,8 @@ pub fn execute(
             };
             let resumed = resume.is_some();
             let prior_states = resume.as_ref().map_or(0, |r| r.states_visited());
-            let report = Machine::explore_schedules_from(
-                KCoreConfig::default(),
-                scripts.clone(),
-                &ecfg,
-                resume,
-            )
-            .or_else(|vrm_explore::ExploreError::CorruptCheckpoint(_)| {
-                // A checkpoint that no longer deserializes must never
-                // poison the query: count it and restart from scratch.
-                vrm_obs::Counter::new(vrm_obs::serve::CHECKPOINT_CORRUPT).add(1);
-                Machine::explore_schedules(KCoreConfig::default(), scripts, &ecfg)
-            })
-            .map_err(|e| format!("explore_schedules: {e}"))?;
+            let report =
+                Machine::explore_schedules_from(KCoreConfig::default(), scripts, &ecfg, resume);
             let verdict = report.verdict();
             let states = report.stats.states;
             Ok((

@@ -5,7 +5,7 @@
 //! only frames lines, counts connection-level telemetry, and turns a
 //! `shutdown` request into a drained stop.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -178,16 +178,44 @@ impl Accept for UnixListener {
     }
 }
 
+/// The longest request line a connection may send, newline excluded
+/// (1 MiB; the largest litmus file in the corpus is under 1 KiB).
+const MAX_LINE: usize = 1 << 20;
+
 /// One connection: read request lines until EOF (or shutdown), write
-/// response lines.
-fn handle_conn<R: BufRead, W: Write>(svc: &Service, stop: &AtomicBool, reader: R, mut out: W) {
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+/// response lines. Each line is read through a window one byte longer
+/// than [`MAX_LINE`], so a client that never sends a newline costs at
+/// most that much memory: a longer line gets one error reply, counted
+/// as a bad request, and ends this connection.
+fn handle_conn<R: BufRead, W: Write>(svc: &Service, stop: &AtomicBool, mut reader: R, mut out: W) {
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        let mut window = (&mut reader).take(MAX_LINE as u64 + 1);
+        if !matches!(window.read_until(b'\n', &mut buf), Ok(n) if n > 0) {
+            break;
+        }
+        if buf.ends_with(b"\n") {
+            buf.pop();
+            if buf.ends_with(b"\r") {
+                buf.pop();
+            }
+        }
+        if buf.len() > MAX_LINE {
+            Counter::new(names::REQUESTS).add(1);
+            Counter::new(names::BAD_REQUESTS).add(1);
+            let detail = format!("request line longer than {MAX_LINE} bytes");
+            let _ = write_line(&mut out, &render_error(&detail));
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            break;
+        };
         if line.trim().is_empty() {
             continue;
         }
         Counter::new(names::REQUESTS).add(1);
-        let quit = match parse_request(&line) {
+        let quit = match parse_request(line) {
             Ok(req) => dispatch(svc, stop, req, &mut out),
             Err(e) => {
                 Counter::new(names::BAD_REQUESTS).add(1);
@@ -311,4 +339,37 @@ fn write_line<W: Write>(out: &mut W, line: &str) -> std::io::Result<()> {
     out.write_all(line.as_bytes())?;
     out.write_all(b"\n")?;
     out.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_line_without_a_newline_is_refused_at_the_cap() {
+        let svc = Service::start(crate::ServeConfig {
+            workers: 1,
+            ..Default::default()
+        });
+        let bad = Counter::new(names::BAD_REQUESTS);
+        let b0 = bad.get();
+        let mut input = std::io::Cursor::new(vec![b'x'; 4 << 20]);
+        let mut out = Vec::new();
+        handle_conn(&svc, &AtomicBool::new(false), &mut input, &mut out);
+        svc.shutdown();
+        assert_eq!(
+            input.position(),
+            MAX_LINE as u64 + 1,
+            "the connection must stop reading at the cap"
+        );
+        assert!(bad.get() > b0, "the refusal is a bad request");
+        if vrm_faults::armed() {
+            // An injected frame cut may tear the reply itself.
+            return;
+        }
+        let reply = String::from_utf8(out).expect("UTF-8 reply");
+        assert_eq!(reply.lines().count(), 1, "{reply}");
+        assert!(reply.contains(r#""status":"error""#), "{reply}");
+        assert!(reply.contains(&MAX_LINE.to_string()), "{reply}");
+    }
 }

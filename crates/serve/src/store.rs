@@ -19,20 +19,25 @@
 //!
 //! Each record is `[kind u8][len u32 LE][payload][fnv1a64 u64 LE]`,
 //! the checksum taken over the kind byte, the length bytes and the
-//! payload (via [`vrm_explore::checksum64`], the same FNV-1a the
-//! VRMCKPT1 container uses). Record kinds:
+//! payload (via [`vrm_explore::checksum64`], the FNV-1a that also
+//! seals checkpoint images). Payloads are read back through the shared
+//! [`vrm_explore::Cursor`]. Record kinds:
 //!
 //! | kind | meaning | payload |
 //! |------|---------|---------|
-//! | 1 | verdict insert | digest `u128`, verdict, `states u64`, `wall_ns u64`, detail |
-//! | 2 | checkpoint park | program digest `u128`, VRMSRES2 blob |
+//! | 1 | verdict insert | digest `u128`, verdict, `states u64`, `wall_ns u64`, detail (`u32` length + UTF-8) |
+//! | 2 | checkpoint park | program digest `u128`, `u32` length, sealed `VRMSRES3` image |
 //! | 3 | checkpoint take | program digest `u128` |
 //! | 4 | verdict remove (TTL expiry) | digest `u128` |
 //!
+//! A verdict is one tag byte (0 pass, 1 fail, 2 unknown); an unknown
+//! adds its coverage as `states u64`, `frontier_len u64` and the
+//! [`TruncationReason::tag`] byte.
+//!
 //! A park record's blob is opaque here: one from an older format
-//! (`VRMSRES1`) replays into the store like any other, and the job that
-//! takes it fails to decode it, counts it on `serve/checkpoint_corrupt`
-//! and walks from scratch.
+//! (`VRMSRES1`, `VRMSRES2`) replays into the store like any other, and
+//! the job that takes it fails to decode it, counts it on
+//! `serve/checkpoint_corrupt` and walks from scratch.
 //!
 //! ## Crash-safety discipline
 //!
@@ -46,7 +51,9 @@
 //!   `serve/wal_corrupt_skipped`.
 //! * a **bad checksum** mid-file (bit rot, a hostile edit): the record
 //!   is skipped by its intact framing and replay continues. Also
-//!   counted on `serve/wal_corrupt_skipped`. The
+//!   counted on `serve/wal_corrupt_skipped`, as is an intact frame
+//!   whose payload does not decode exactly (an unknown kind or tag,
+//!   bytes left over, a detail that is not UTF-8). The
 //!   `wal-skips-checksum` mutant disables this verification
 //!   ([`StoreOptions::verify_checksums`]) and is killed by the
 //!   mutation campaign.
@@ -60,7 +67,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
-use vrm_explore::{checksum64, Coverage, TruncationReason, Verdict};
+use vrm_explore::{checksum64, Coverage, Cursor, TruncationReason, Verdict};
 use vrm_obs::serve as names;
 use vrm_obs::Counter;
 
@@ -104,7 +111,8 @@ pub enum WalRecord {
         /// The cached answer.
         entry: CacheEntry,
     },
-    /// A suspended walk was parked, serialized as a VRMSRES2 blob.
+    /// A suspended walk was parked, serialized as its sealed
+    /// `VRMSRES3` image.
     Park {
         /// The program digest (the checkpoint-store key).
         pdigest: u128,
@@ -128,7 +136,7 @@ pub enum WalRecord {
 pub struct ReplayOutcome {
     /// Every intact record, in append order.
     pub records: Vec<WalRecord>,
-    /// Records dropped as torn or checksum-bad.
+    /// Records dropped as torn, checksum-bad or undecodable.
     pub skipped: u64,
 }
 
@@ -328,63 +336,45 @@ pub fn encode_record(rec: &WalRecord) -> Vec<u8> {
         WalRecord::Take { pdigest } => (3u8, pdigest.to_le_bytes().to_vec()),
         WalRecord::Remove { digest } => (4u8, digest.to_le_bytes().to_vec()),
     };
+    frame(kind, &payload)
+}
+
+/// `[kind][len][payload]` followed by the checksum over all three.
+fn frame(kind: u8, payload: &[u8]) -> Vec<u8> {
     let mut frame = Vec::with_capacity(5 + payload.len() + 8);
     frame.push(kind);
     frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&payload);
+    frame.extend_from_slice(payload);
     let sum = checksum64(&frame);
     frame.extend_from_slice(&sum.to_le_bytes());
     frame
 }
 
 fn decode_record(kind: u8, payload: &[u8]) -> Option<WalRecord> {
-    let mut c = payload;
-    match kind {
-        1 => {
-            let digest = take_u128(&mut c)?;
-            let verdict = decode_verdict(&mut c)?;
-            let states = take_u64(&mut c)? as usize;
-            let wall_ns = take_u64(&mut c)?;
-            let dlen = take_u32(&mut c)? as usize;
-            let detail = String::from_utf8(take(&mut c, dlen)?.to_vec()).ok()?;
-            if !c.is_empty() {
-                return None;
-            }
-            Some(WalRecord::Verdict {
-                digest,
-                entry: CacheEntry {
-                    verdict,
-                    states,
-                    wall_ns,
-                    detail,
-                },
-            })
-        }
+    let mut c = Cursor::new(payload);
+    let rec = match kind {
+        1 => WalRecord::Verdict {
+            digest: c.u128()?,
+            entry: CacheEntry {
+                verdict: decode_verdict(&mut c)?,
+                states: c.u64()? as usize,
+                wall_ns: c.u64()?,
+                detail: c.str()?.to_owned(),
+            },
+        },
         2 => {
-            let pdigest = take_u128(&mut c)?;
-            let blen = take_u32(&mut c)? as usize;
-            let blob = take(&mut c, blen)?.to_vec();
-            if !c.is_empty() {
-                return None;
+            let pdigest = c.u128()?;
+            let len = c.u32()? as usize;
+            WalRecord::Park {
+                pdigest,
+                blob: c.take(len)?.to_vec(),
             }
-            Some(WalRecord::Park { pdigest, blob })
         }
-        3 => {
-            let pdigest = take_u128(&mut c)?;
-            if !c.is_empty() {
-                return None;
-            }
-            Some(WalRecord::Take { pdigest })
-        }
-        4 => {
-            let digest = take_u128(&mut c)?;
-            if !c.is_empty() {
-                return None;
-            }
-            Some(WalRecord::Remove { digest })
-        }
-        _ => None,
-    }
+        3 => WalRecord::Take { pdigest: c.u128()? },
+        4 => WalRecord::Remove { digest: c.u128()? },
+        _ => return None,
+    };
+    c.is_empty().then_some(rec)
 }
 
 fn encode_verdict(out: &mut Vec<u8>, v: &Verdict) {
@@ -395,74 +385,24 @@ fn encode_verdict(out: &mut Vec<u8>, v: &Verdict) {
             out.push(2);
             out.extend_from_slice(&(coverage.states as u64).to_le_bytes());
             out.extend_from_slice(&(coverage.frontier_len as u64).to_le_bytes());
-            out.push(reason_tag(coverage.reason));
+            out.push(coverage.reason.tag());
         }
     }
 }
 
-fn decode_verdict(c: &mut &[u8]) -> Option<Verdict> {
-    match take(c, 1)?[0] {
+fn decode_verdict(c: &mut Cursor<'_>) -> Option<Verdict> {
+    match c.u8()? {
         0 => Some(Verdict::Pass),
         1 => Some(Verdict::Fail),
-        2 => {
-            let states = take_u64(c)? as usize;
-            let frontier_len = take_u64(c)? as usize;
-            let reason = tag_reason(take(c, 1)?[0])?;
-            Some(Verdict::Unknown {
-                coverage: Coverage {
-                    states,
-                    frontier_len,
-                    reason,
-                },
-            })
-        }
+        2 => Some(Verdict::Unknown {
+            coverage: Coverage {
+                states: c.u64()? as usize,
+                frontier_len: c.u64()? as usize,
+                reason: TruncationReason::from_tag(c.u8()?)?,
+            },
+        }),
         _ => None,
     }
-}
-
-/// Stable byte tag of a truncation reason (shared with the VRMSRES2
-/// container's tags so both durable formats agree).
-pub fn reason_tag(r: TruncationReason) -> u8 {
-    match r {
-        TruncationReason::StateLimit => 0,
-        TruncationReason::DepthLimit => 1,
-        TruncationReason::Deadline => 2,
-        TruncationReason::MemoryBudget => 3,
-        TruncationReason::WorkerLost => 4,
-    }
-}
-
-/// Inverse of [`reason_tag`].
-pub fn tag_reason(t: u8) -> Option<TruncationReason> {
-    Some(match t {
-        0 => TruncationReason::StateLimit,
-        1 => TruncationReason::DepthLimit,
-        2 => TruncationReason::Deadline,
-        3 => TruncationReason::MemoryBudget,
-        4 => TruncationReason::WorkerLost,
-        _ => return None,
-    })
-}
-
-fn take<'a>(c: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
-    if c.len() < n {
-        return None;
-    }
-    let (head, tail) = c.split_at(n);
-    *c = tail;
-    Some(head)
-}
-
-fn take_u32(c: &mut &[u8]) -> Option<u32> {
-    take(c, 4).map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
-}
-
-fn take_u64(c: &mut &[u8]) -> Option<u64> {
-    take(c, 8).map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
-}
-
-fn take_u128(c: &mut &[u8]) -> Option<u128> {
-    take(c, 16).map(|b| u128::from_le_bytes(b.try_into().expect("16 bytes")))
 }
 
 #[cfg(test)]
@@ -591,6 +531,46 @@ mod tests {
             WalRecord::Verdict { entry, .. } => assert_eq!(entry.detail, "outcomes:2"),
             r => panic!("unexpected record {r:?}"),
         }
+    }
+
+    #[test]
+    fn malformed_payloads_behind_intact_checksums_are_skipped() {
+        // Frames this build never writes, each under a valid checksum,
+        // so only the payload decoder can refuse them.
+        let records = sample_records();
+        let payload = |rec: &WalRecord| {
+            let f = encode_record(rec);
+            f[5..f.len() - 8].to_vec()
+        };
+        let pass = payload(&records[0]);
+        let with = |mut p: Vec<u8>, at: usize, byte: u8| {
+            p[at] = byte;
+            p
+        };
+        let mut trailing = pass.clone();
+        trailing.push(0);
+        let malformed = [
+            frame(1, &trailing),
+            frame(9, &pass),
+            // The verdict tag follows the 16-byte digest; an Unknown's
+            // reason tag follows its two u64 coverage counts.
+            frame(1, &with(pass.clone(), 16, 7)),
+            frame(1, &with(payload(&records[4]), 33, 9)),
+            // The last byte of the detail "outcomes:3".
+            frame(1, &with(pass.clone(), pass.len() - 1, 0xff)),
+        ];
+        let mut bytes = WAL_MAGIC.to_vec();
+        for (bad, rec) in malformed.iter().zip(&records) {
+            bytes.extend_from_slice(bad);
+            bytes.extend_from_slice(&encode_record(rec));
+        }
+        let (out, good) = replay(&bytes, &StoreOptions::default());
+        assert_eq!(out.skipped, malformed.len() as u64);
+        assert_eq!(
+            out.records, records,
+            "the records after each bad frame replay"
+        );
+        assert_eq!(good, bytes.len(), "skipped frames are not a torn tail");
     }
 
     #[test]

@@ -42,7 +42,6 @@ use vrm_obs::Counter;
 
 use crate::job::{JobConfig, JobResult, JobSpec};
 use crate::protocol::parse_reply;
-use crate::store::tag_reason;
 use crate::worker::{from_hex, to_hex};
 
 /// Supervision policy for out-of-process job execution.
@@ -280,8 +279,10 @@ fn parse_attempt(output: &str) -> Attempt {
                     .and_then(|v| v.get(k).and_then(Json::as_u64))
                     .unwrap_or(0)
             };
-            let reason =
-                tag_reason(field("reason_tag") as u8).unwrap_or(TruncationReason::WorkerLost);
+            let reason = u8::try_from(field("reason_tag"))
+                .ok()
+                .and_then(TruncationReason::from_tag)
+                .unwrap_or(TruncationReason::WorkerLost);
             Verdict::Unknown {
                 coverage: Coverage {
                     states: reply.states as usize,

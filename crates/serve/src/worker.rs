@@ -1,14 +1,17 @@
 //! The out-of-process worker: one job over stdio, then exit.
 //!
 //! `serve worker` reads a single submit-shaped JSON line from stdin
-//! (plus an optional `resume` field carrying a hex-encoded VRMSRES2
-//! checkpoint), executes it in-process exactly as a daemon worker
-//! thread would ([`crate::job::execute_blob`]), writes a single
-//! result line to stdout — the [`crate::protocol::render_result`]
-//! shape extended with `frontier_len`/`reason_tag` (so an `Unknown`'s
+//! (plus an optional `resume` field carrying a checkpoint's sealed
+//! `VRMSRES3` image in hex), executes it in-process exactly as a
+//! daemon worker thread would ([`crate::job::execute_blob`]), writes a
+//! single result line to stdout — the [`crate::protocol::render_result`]
+//! shape extended with `frontier_len` and `reason_tag` (the
+//! [`vrm_explore::TruncationReason::tag`] byte, so an `Unknown`'s
 //! coverage survives the process boundary) and a `checkpoint` hex
 //! field — and exits with the verdict's code (0 pass / 1 fail /
-//! 3 unknown; 2 for protocol errors).
+//! 3 unknown; 2 for protocol errors). The image crosses the boundary
+//! as bytes and is decoded only by [`crate::job::execute_blob`], on
+//! whichever side resumes it.
 //!
 //! The process boundary is the whole point: a pathological generated
 //! program that hangs or exhausts memory takes down *this* process,
@@ -67,10 +70,7 @@ fn render_worker_done(res: &crate::job::JobResult, checkpoint: Option<&[u8]>) ->
         .field_str("detail", &res.detail);
     if let vrm_explore::Verdict::Unknown { coverage } = &res.verdict {
         w.field_u64("frontier_len", coverage.frontier_len as u64)
-            .field_u64(
-                "reason_tag",
-                crate::store::reason_tag(coverage.reason) as u64,
-            );
+            .field_u64("reason_tag", u64::from(coverage.reason.tag()));
     }
     if let Some(blob) = checkpoint {
         w.field_str("checkpoint", &to_hex(blob));

@@ -3,14 +3,16 @@
 //! * A budget-truncated walk's emission set is always a **subset** of
 //!   the exhaustive emission set (partial results are sound — what was
 //!   found is real, absence proves nothing).
-//! * A truncated walk's checkpoint, round-tripped through the binary
-//!   format and resumed to completion, reproduces the exhaustive
-//!   emission set **bit-for-bit**, at `jobs` ∈ {1, 2, 4}.
+//! * A truncated walk's checkpoint, resumed leg by leg to completion,
+//!   reproduces the exhaustive emission set **bit-for-bit**, at
+//!   `jobs` ∈ {1, 2, 4}. (The durable image of a checkpoint is the
+//!   SeKVM schedule walk's; its byte round trip is tested beside it in
+//!   `vrm-sekvm`.)
 
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
-use vrm::explore::{explore, Completeness, ExploreConfig, ResumeState, Sink, StateSpace};
+use vrm::explore::{explore, Completeness, ExploreConfig, Sink, StateSpace};
 
 /// A seeded pseudo-random digraph over `0..modulus`: every expansion
 /// emits its state, successors are splitmix-style hashes. Small enough
@@ -89,8 +91,8 @@ proptest! {
         }
     }
 
-    /// Checkpoint → byte round-trip → resume reproduces the exhaustive
-    /// emission set exactly, whatever worker count drives each leg.
+    /// Checkpoint → resume reproduces the exhaustive emission set
+    /// exactly, whatever worker count drives each leg.
     #[test]
     fn checkpoint_resume_reproduces_exhaustive_set(
         seed in 0u64..1_000_000,
@@ -107,11 +109,6 @@ proptest! {
             let mut resume = first.resume;
             let mut legs = 0;
             while let Some(ckpt) = resume {
-                // Serialize through the binary checkpoint format each
-                // leg so the property also covers the encoding.
-                let bytes = ckpt.to_bytes();
-                let ckpt = ResumeState::<u64>::from_bytes(&bytes)
-                    .expect("checkpoint must round-trip");
                 let leg = explore(
                     &space,
                     &ExploreConfig::with_max_states(budget.max(8)).jobs(jobs),

@@ -10,7 +10,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use vrm::explore::{CheckpointFault, ExploreError, Verdict};
+use vrm::explore::{seal, CheckpointFault, ExploreError, Verdict, CHECKPOINT_FOOTER_LEN};
 use vrm::obs::{serve as counters, Counter};
 use vrm::sekvm::machine::{ExhaustiveConfig, Machine, ScheduleResume};
 use vrm::sekvm::{workloads, KCoreConfig};
@@ -209,11 +209,14 @@ fn an_expired_unknown_is_reexplored_from_its_checkpoint() {
     svc.shutdown();
 }
 
-/// The unmap walk parked at 40 states, serialized under the version-1
-/// magic with an intact footer: the blob a build whose state digests
-/// hashed debug text would have parked. The layout is unchanged, only
-/// the meaning of the visited digests.
-fn version_1_blob() -> Vec<u8> {
+/// The magics of the schedule-checkpoint formats this build refuses:
+/// version 1 digested the state's debug text, and version 2 nested the
+/// engine's own sealed container inside its image.
+const OLD_VERSIONS: [&[u8; 8]; 2] = [b"VRMSRES1", b"VRMSRES2"];
+
+/// The unmap walk parked at 40 states, sealed under an older format's
+/// `magic`: intact, and refused only because of what the magic says.
+fn old_version_blob(magic: &[u8; 8]) -> Vec<u8> {
     let small = ExhaustiveConfig {
         max_states: 40,
         jobs: 1,
@@ -223,30 +226,31 @@ fn version_1_blob() -> Vec<u8> {
         .expect("walk")
         .resume
         .expect("a 40-state unmap walk is truncated");
-    let mut blob = parked.to_bytes().expect("own checkpoints serialize");
-    assert_eq!(&blob[..8], b"VRMSRES2");
-    blob[..8].copy_from_slice(b"VRMSRES1");
-    let body = blob.len() - vrm::explore::CHECKPOINT_FOOTER_LEN;
-    let sum = vrm::explore::checksum64(&blob[..body]);
-    blob[body + 8..].copy_from_slice(&sum.to_le_bytes());
-    blob
+    let image = parked.to_bytes().expect("images are never None");
+    assert_eq!(&image[..8], b"VRMSRES3");
+    let mut body = magic.to_vec();
+    body.extend_from_slice(&image[8..image.len() - CHECKPOINT_FOOTER_LEN]);
+    seal(body)
 }
 
 #[test]
 fn a_version_1_schedule_checkpoint_is_rejected_on_its_magic() {
-    let err = ScheduleResume::from_bytes(
-        KCoreConfig::default(),
-        workloads::unmap(),
-        &version_1_blob(),
-    )
-    .expect_err("a version-1 blob must not resume");
-    assert!(
-        matches!(
-            err,
-            ExploreError::CorruptCheckpoint(CheckpointFault::BadMagic)
-        ),
-        "{err:?}"
-    );
+    for magic in OLD_VERSIONS {
+        let err = ScheduleResume::from_bytes(
+            KCoreConfig::default(),
+            workloads::unmap(),
+            &old_version_blob(magic),
+        )
+        .expect_err("an old-format blob must not resume");
+        assert!(
+            matches!(
+                err,
+                ExploreError::CorruptCheckpoint(CheckpointFault::BadMagic)
+            ),
+            "{}: {err:?}",
+            String::from_utf8_lossy(magic)
+        );
+    }
 }
 
 #[test]
@@ -254,30 +258,6 @@ fn a_parked_version_1_checkpoint_is_recomputed_not_resumed() {
     if armed() {
         return;
     }
-    let dir = temp_dir("version-1");
-    // A state dir left by an older build: its log parks the unmap walk
-    // in the version-1 format.
-    let pdigest = vrm::serve::digest::program_digest(&unmap()).expect("program digest");
-    let (mut store, _) = DurableStore::open(&dir, StoreOptions::default()).expect("open log");
-    store.append(&WalRecord::Park {
-        pdigest,
-        blob: version_1_blob(),
-    });
-    drop(store);
-
-    let corrupt = Counter::new(counters::CHECKPOINT_CORRUPT);
-    let c0 = corrupt.get();
-    let svc = Service::start(durable_cfg(&dir));
-    let (res, cached) = submit_wait(&svc, unmap(), budget(1 << 16));
-    svc.shutdown();
-    assert!(!cached);
-    assert_eq!(
-        corrupt.get() - c0,
-        1,
-        "the stale checkpoint must be counted"
-    );
-    assert!(!res.resumed, "a version-1 checkpoint must not be resumed");
-    assert_eq!(res.states_new, res.states, "the walk restarts from scratch");
     // The same answer a daemon with no checkpoint gives.
     let fresh = Service::start(ServeConfig {
         workers: 1,
@@ -285,10 +265,43 @@ fn a_parked_version_1_checkpoint_is_recomputed_not_resumed() {
     });
     let (expected, _) = submit_wait(&fresh, unmap(), budget(1 << 16));
     fresh.shutdown();
-    assert_eq!(res.verdict, Verdict::Pass, "{}", res.detail);
-    assert_eq!(res.verdict, expected.verdict);
-    assert_eq!(res.states, expected.states);
-    assert_eq!(res.detail, expected.detail);
+    assert_eq!(expected.verdict, Verdict::Pass, "{}", expected.detail);
+    for magic in OLD_VERSIONS {
+        let version = String::from_utf8_lossy(magic);
+        let dir = temp_dir(&version);
+        // A state dir left by an older build: its log parks the unmap
+        // walk in that build's format.
+        let pdigest = vrm::serve::digest::program_digest(&unmap()).expect("program digest");
+        let (mut store, _) = DurableStore::open(&dir, StoreOptions::default()).expect("open log");
+        store.append(&WalRecord::Park {
+            pdigest,
+            blob: old_version_blob(magic),
+        });
+        drop(store);
 
-    let _ = std::fs::remove_dir_all(&dir);
+        let corrupt = Counter::new(counters::CHECKPOINT_CORRUPT);
+        let c0 = corrupt.get();
+        let svc = Service::start(durable_cfg(&dir));
+        let (res, cached) = submit_wait(&svc, unmap(), budget(1 << 16));
+        svc.shutdown();
+        assert!(!cached, "{version}");
+        assert_eq!(
+            corrupt.get() - c0,
+            1,
+            "{version}: the stale checkpoint must be counted"
+        );
+        assert!(
+            !res.resumed,
+            "{version}: an old checkpoint must not be resumed"
+        );
+        assert_eq!(
+            res.states_new, res.states,
+            "{version}: the walk restarts from scratch"
+        );
+        assert_eq!(res.verdict, expected.verdict, "{version}");
+        assert_eq!(res.states, expected.states, "{version}");
+        assert_eq!(res.detail, expected.detail, "{version}");
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
