@@ -12,9 +12,10 @@
 //! * `versions` — §5.6: the wDRF validation across kernel versions and
 //!   3-/4-level stage-2 tables.
 //!
-//! Criterion benches (`cargo bench -p vrm-bench`) measure the throughput
-//! of the reproduction's own machinery (model enumeration, hypervisor
-//! operations, cost-model evaluation).
+//! The `bench` binary is the one harness for the reproduction's own
+//! machinery: it writes a schema-versioned record per litmus file, wDRF
+//! check, schedule walk and serve probe (`--suite litmus --jobs N`
+//! times the enumerators on either driver).
 
 #![warn(missing_docs)]
 

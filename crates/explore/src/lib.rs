@@ -17,7 +17,7 @@
 //! limit/deadline enforcement, and statistics.
 //!
 //! [`explore`] is the one entry point. Two interchangeable drivers sit
-//! behind it:
+//! behind it, and both expand a popped state through the same step:
 //!
 //! * the **sequential** driver (`jobs <= 1`, the default) — a LIFO
 //!   worklist identical in visit order to the loops it replaced, so
@@ -26,22 +26,24 @@
 //!   sets, sleep sets and symmetry (see `docs/REDUCTION.md`);
 //! * the **parallel** driver — `std::thread::scope` workers over
 //!   per-worker deques with work stealing, deduplicating through a
-//!   sharded `Mutex<HashSet>` visited set. Std only: the build
+//!   visited map sharded behind mutexes. Std only: the build
 //!   environment is offline, so rayon/crossbeam are not available.
 //!
 //! Both drivers explore exactly the same state set; only the order (and
 //! hence the order of emissions) differs. Callers that fold emissions
-//! into sets observe identical results from either driver.
+//! into sets observe identical results from either driver. A state's
+//! identity is its [`digest128`]: each driver's visited map holds only
+//! digests, each with the sleep mask its state was expanded under.
 //!
 //! # Graceful degradation
 //!
 //! Running out of budget is a *result*, not an error. When a walk hits
-//! [`ExploreConfig::max_states`], a memory budget, a depth bound or a
-//! deadline, the drivers return everything they visited so far, mark
-//! the run [`Completeness::Truncated`] in its [`ExploreStats`], and
-//! attach a [`ResumeState`] (the unexpanded frontier plus digests of
-//! the visited set) so a later run can pick up where this one stopped
-//! instead of restarting. A truncated walk's emissions are a sound
+//! [`ExploreConfig::max_states`], a depth bound or a deadline, the
+//! drivers return everything they visited so far, mark the run
+//! [`Completeness::Truncated`] in its [`ExploreStats`], and attach a
+//! [`ResumeState`] (the unexpanded frontier and the visited map) so a
+//! later run continues the walk where this one stopped instead of
+//! restarting. A truncated walk's emissions are a sound
 //! **subset** of the exhaustive set — present emissions are real, but
 //! absence proves nothing, which is why every verdict derived from a
 //! truncated walk must be [`Verdict::Unknown`], never pass/fail.
@@ -66,8 +68,8 @@
 #![deny(missing_docs)]
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher, Hash, Hasher};
+use std::collections::{HashMap, VecDeque};
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -136,7 +138,9 @@ impl RunObs {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExploreConfig {
     /// Stop expanding (truncating with [`TruncationReason::StateLimit`])
-    /// once the visited set holds this many states.
+    /// once this run has visited this many fresh states. A visited
+    /// entry is a fixed-size digest and sleep mask, so this bounds the
+    /// visited map's memory too.
     pub max_states: usize,
     /// Do not expand successors deeper than this many steps from an
     /// initial state; pruned successors are parked in the resume
@@ -146,10 +150,6 @@ pub struct ExploreConfig {
     /// Stop expanding (truncating with [`TruncationReason::Deadline`])
     /// when the walk runs longer than this.
     pub deadline: Option<Duration>,
-    /// Approximate byte budget for the visited set (see
-    /// [`approx_visited_bytes`]); exceeding it truncates with
-    /// [`TruncationReason::MemoryBudget`].
-    pub max_memory: Option<usize>,
     /// Worker threads. `0` or `1` selects the sequential reference
     /// driver; `n > 1` the work-stealing parallel driver.
     pub jobs: usize,
@@ -167,7 +167,6 @@ impl Default for ExploreConfig {
             max_states: usize::MAX,
             max_depth: None,
             deadline: None,
-            max_memory: None,
             jobs: 1,
             reduction: false,
         }
@@ -195,12 +194,6 @@ impl ExploreConfig {
         self
     }
 
-    /// Sets the approximate visited-set byte budget (builder style).
-    pub fn max_memory(mut self, bytes: usize) -> Self {
-        self.max_memory = Some(bytes);
-        self
-    }
-
     /// Turns reduction on or off (builder style).
     pub fn reduction(mut self, on: bool) -> Self {
         self.reduction = on;
@@ -225,7 +218,8 @@ impl ExploreConfig {
 ///
 /// The discriminants are the reasons' stable byte tags
 /// ([`TruncationReason::tag`]) in durable images and on the worker
-/// wire; never renumber them.
+/// wire; never renumber them. Tag 3 belonged to a retired memory
+/// budget and is not reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TruncationReason {
     /// [`ExploreConfig::max_states`] was reached.
@@ -234,9 +228,6 @@ pub enum TruncationReason {
     DepthLimit = 1,
     /// [`ExploreConfig::deadline`] passed.
     Deadline = 2,
-    /// [`ExploreConfig::max_memory`] was exceeded (approximate byte
-    /// accounting on the visited set).
-    MemoryBudget = 3,
     /// The walk was delegated to a worker *process* that died or hung
     /// before answering (supervised out-of-process execution, e.g. a
     /// `vrm-serve` worker). Nothing was explored on this attempt; the
@@ -256,7 +247,6 @@ impl TruncationReason {
             Self::StateLimit,
             Self::DepthLimit,
             Self::Deadline,
-            Self::MemoryBudget,
             Self::WorkerLost,
         ]
         .into_iter()
@@ -270,7 +260,6 @@ impl std::fmt::Display for TruncationReason {
             TruncationReason::StateLimit => write!(f, "state limit"),
             TruncationReason::DepthLimit => write!(f, "depth limit"),
             TruncationReason::Deadline => write!(f, "deadline"),
-            TruncationReason::MemoryBudget => write!(f, "memory budget"),
             TruncationReason::WorkerLost => write!(f, "worker lost"),
         }
     }
@@ -650,6 +639,12 @@ impl<S, E> Sink<S, E> {
 /// through the [`Sink`] instead — that is what makes one implementation
 /// serve both the sequential and the parallel driver.
 ///
+/// The engine identifies a state by its [`digest128`], so `Hash` must
+/// cover exactly what `Eq` compares (every state type in the workspace
+/// derives both, or matches them by hand). Two states with equal
+/// digests are one state to the walk: identity holds up to 128-bit
+/// collisions, which checkpoints already accepted.
+///
 /// # Reduction hooks
 ///
 /// The provided methods describe a space with no named processes:
@@ -881,21 +876,119 @@ fn canon_counted<SP: StateSpace>(space: &SP, state: &SP::State) -> Option<SP::St
     c
 }
 
-/// Expands a state whole through [`StateSpace::expand`]: every state of
-/// an unreduced walk, and under reduction the terminals (no enabled
-/// process) and the cross-process dead ends — states where every
-/// per-process expansion yielded nothing, but the whole-state expand
-/// may still emit (e.g. a global-stall marker). A reduced walk keeps
-/// only orbit representatives, so the emissions of every collapsed
-/// variant are re-rendered here too; successors pushed by an orbit
-/// image are discarded, because the representative's own successors
-/// cover them up to symmetry.
-fn expand_whole<SP: StateSpace>(
+/// The initial states, replaced by their orbit representatives when
+/// the walk is reduced.
+fn roots<SP: StateSpace>(space: &SP, reduced: bool) -> Vec<SP::State> {
+    let mut roots = space.initial();
+    if reduced {
+        for s in &mut roots {
+            if let Some(c) = canon_counted(space, s) {
+                *s = c;
+            }
+        }
+    }
+    roots
+}
+
+/// Expands one popped state for either driver: emissions stay in
+/// `sink`, successors go to `out` with the sleep mask each is to be
+/// expanded under.
+///
+/// Unreduced, and at a state with no enabled process, the state is
+/// expanded whole through [`StateSpace::expand`]. Under reduction it is
+/// expanded process by process instead: only an ample singleton where
+/// one exists, restarting with every enabled process when that one is
+/// stuck (it yields nothing, or only spins in place), and skipping the
+/// processes asleep in `sleep`. A driver without sleep sets passes
+/// `None`, so nothing sleeps and every child is all-awake; otherwise a
+/// child of process `p` sleeps each process already covered at this
+/// state whose move commutes with `p`'s. A cross-process dead end
+/// (nothing yielded, nothing asleep) is delegated to the whole-state
+/// `expand`, which under reduction also re-renders the emissions of
+/// every orbit image: their successors are dropped, because the
+/// representative's own cover them up to symmetry. Every successor of a
+/// reduced walk is replaced by its orbit representative, all-awake when
+/// that moved it (canonicalization permutes process ids). A halting
+/// expansion ends the step at once.
+fn expand_step<SP: StateSpace>(
     space: &SP,
-    state: &SP::State,
     reduced: bool,
+    state: &SP::State,
+    sleep: Option<u64>,
     sink: &mut Sink<SP::State, SP::Emit>,
+    out: &mut Vec<(SP::State, u64)>,
 ) {
+    let enabled = if reduced {
+        space.enabled(state)
+    } else {
+        Vec::new()
+    };
+    if !enabled.is_empty() {
+        // Sleep masks only cover process ids < 64; wider spaces run
+        // ample and canon only.
+        let sleep = sleep.filter(|_| enabled.iter().all(|&p| p < 64));
+        let slept = sleep.unwrap_or(0);
+        let ample = ample_singleton(space, state, &enabled);
+        let mut base = if ample.is_some() {
+            ample.as_slice()
+        } else {
+            &enabled
+        };
+        'pass: loop {
+            let ample_cut = base.len() < enabled.len();
+            let (mut yielded, mut asleep) = (false, 0u64);
+            let mut covered = slept;
+            for &p in base {
+                if slept & sleep_bit(p) != 0 {
+                    asleep += 1;
+                    continue;
+                }
+                let mark_emit = sink.emits.len();
+                space.expand_proc(state, p, sink);
+                let moved = !sink.succ.is_empty() || sink.emits.len() > mark_emit;
+                let spins = !sink.succ.is_empty() && sink.succ.iter().all(|n| n == state);
+                if ample_cut && (!moved || spins) {
+                    // A stuck ample process: restart the pass with every
+                    // enabled process, so the others' moves stay
+                    // reachable.
+                    sink.succ.clear();
+                    sink.emits.truncate(mark_emit);
+                    base = &enabled;
+                    continue 'pass;
+                }
+                yielded |= moved;
+                let child = match sleep {
+                    Some(_) if covered != 0 => {
+                        let now_p = space.now(state, p);
+                        mask_bits(covered)
+                            .filter(|&q| !space.now(state, q).conflicts(&now_p))
+                            .fold(0, |m, q| m | sleep_bit(q))
+                    }
+                    _ => 0,
+                };
+                for next in sink.succ.drain(..) {
+                    out.push(match canon_counted(space, &next) {
+                        Some(c) => (c, 0),
+                        None => (next, child),
+                    });
+                }
+                if sink.halted {
+                    return;
+                }
+                covered |= sleep_bit(p);
+            }
+            if ample_cut {
+                OBS_PERSISTENT_CUT.add((enabled.len() - 1) as u64);
+            }
+            if asleep > 0 {
+                OBS_SLEEP_PRUNED.add(asleep);
+            }
+            if yielded || asleep > 0 {
+                return;
+            }
+            break;
+        }
+    }
     space.expand(state, sink);
     if reduced {
         let mark = sink.succ.len();
@@ -904,76 +997,21 @@ fn expand_whole<SP: StateSpace>(
         }
         sink.succ.truncate(mark);
     }
-}
-
-/// The adapter that makes a space look, to the parallel driver, like a
-/// space whose *graph is already reduced*: expansion picks an ample
-/// singleton where one exists, canonicalizes every successor to its
-/// orbit representative, and re-renders terminal emissions for the
-/// whole orbit. Because `State`/`Emit` are unchanged, the parallel
-/// driver (and its checkpoint/resume machinery) runs it as-is.
-struct Reduced<'a, SP: StateSpace> {
-    inner: &'a SP,
-}
-
-impl<SP: StateSpace> StateSpace for Reduced<'_, SP> {
-    type State = SP::State;
-    type Emit = SP::Emit;
-
-    fn initial(&self) -> Vec<Self::State> {
-        self.inner
-            .initial()
-            .into_iter()
-            .map(|s| canon_counted(self.inner, &s).unwrap_or(s))
-            .collect()
-    }
-
-    fn expand(&self, state: &Self::State, sink: &mut Sink<Self::State, Self::Emit>) {
-        let mark_succ = sink.succ.len();
-        let mark_emit = sink.emits.len();
-        let enabled = self.inner.enabled(state);
-        match ample_singleton(self.inner, state, &enabled) {
-            Some(p) => {
-                self.inner.expand_proc(state, p, sink);
-                let fresh = &sink.succ[mark_succ..];
-                let yielded = !fresh.is_empty() || sink.emits.len() > mark_emit;
-                let self_loop_only = !fresh.is_empty() && fresh.iter().all(|n| n == state);
-                if !yielded || self_loop_only {
-                    // `p` is stuck (or spins in place): falling back to
-                    // the full expansion keeps the other processes'
-                    // moves reachable.
-                    sink.succ.truncate(mark_succ);
-                    sink.emits.truncate(mark_emit);
-                    for &q in &enabled {
-                        self.inner.expand_proc(state, q, sink);
-                    }
-                } else {
-                    OBS_PERSISTENT_CUT.add((enabled.len() - 1) as u64);
-                }
-            }
-            None => {
-                for &q in &enabled {
-                    self.inner.expand_proc(state, q, sink);
-                }
-            }
-        }
-        if sink.succ.len() == mark_succ && sink.emits.len() == mark_emit {
-            // A terminal, or a cross-process dead end.
-            expand_whole(self.inner, state, true, sink);
-        }
-        for next in &mut sink.succ[mark_succ..] {
-            if let Some(c) = canon_counted(self.inner, next) {
-                *next = c;
-            }
-        }
+    for next in sink.succ.drain(..) {
+        let next = if reduced {
+            canon_counted(space, &next).unwrap_or(next)
+        } else {
+            next
+        };
+        out.push((next, 0));
     }
 }
 
 /// A 128-bit digest of a state from two independently salted
-/// `DefaultHasher` passes. `DefaultHasher::new()` uses fixed keys, so
-/// digests are stable across processes of the same build — which is
-/// what lets a checkpoint carry the visited set as digests instead of
-/// whole states.
+/// `DefaultHasher` passes: the engine's state identity.
+/// `DefaultHasher::new()` uses fixed keys, so digests are stable across
+/// processes of the same build — which is what lets a checkpoint carry
+/// the visited map as it is.
 pub fn digest128<S: Hash + ?Sized>(s: &S) -> u128 {
     let mut a = DefaultHasher::new();
     0x9e37_79b9_7f4a_7c15u64.hash(&mut a);
@@ -984,10 +1022,10 @@ pub fn digest128<S: Hash + ?Sized>(s: &S) -> u128 {
     ((a.finish() as u128) << 64) | b.finish() as u128
 }
 
-/// Everything needed to resume a truncated walk: the unexpanded
-/// frontier (with depths) plus 128-bit digests of every state already
-/// visited, so the resumed run re-deduplicates against the past
-/// without holding the past's states in memory.
+/// Everything needed to continue a truncated walk: the driver's
+/// unexpanded frontier and its visited map, moved out as they stood,
+/// so the resumed run picks up the interrupted walk instead of walking
+/// it again.
 ///
 /// Produced by the drivers on truncation ([`Exploration::resume`]),
 /// consumed by [`explore`]. Emissions are **not** carried — the
@@ -996,11 +1034,13 @@ pub fn digest128<S: Hash + ?Sized>(s: &S) -> u128 {
 /// image of it with [`seal`] and reads it back through [`unseal`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResumeState<S> {
-    /// Unexpanded `(state, depth)` pairs left on the frontier.
-    pub frontier: Vec<(S, usize)>,
-    /// [`digest128`] of every state visited so far (including the
-    /// frontier states themselves).
-    pub visited_digests: HashSet<u128>,
+    /// Unexpanded `(state, depth, sleep mask)` entries left on the
+    /// frontier.
+    pub frontier: Vec<(S, usize, u64)>,
+    /// [`digest128`] of every state visited so far (the frontier states
+    /// included) → the sleep mask it was last queued under; 0 for an
+    /// unreduced walk and in the parallel driver.
+    pub visited: HashMap<u128, u64>,
 }
 
 /// Byte length of the integrity footer [`seal`] appends to a durable
@@ -1141,47 +1181,30 @@ pub struct Exploration<S, E> {
 }
 
 /// Explores the state space of `space` under `cfg`, optionally resuming
-/// a prior truncated run's checkpoint: the frontier is re-seeded from it
-/// and successors are deduplicated against the prior run's visited
-/// digests as well as this run's visited set. Budgets apply to *this*
-/// run's fresh states.
+/// a prior truncated run's checkpoint: the visited map and the frontier
+/// are seeded from it, so the run continues the interrupted walk.
+/// Budgets apply to *this* run's fresh states.
 ///
 /// [`ExploreConfig::jobs`] picks the driver and
 /// [`ExploreConfig::reduction`] whether it prunes with the space's
-/// reduction hooks. A checkpoint from a reduced walk must be resumed
-/// reduced (and vice versa): its frontier states are orbit
-/// representatives of a reduced graph, which the unreduced walk does
-/// not generate. A parallel run that loses every worker to panics in
-/// `expand` is run again, once, on the sequential driver, which has no
-/// worker threads to lose.
+/// reduction hooks. A checkpoint parked by either driver resumes on
+/// either. A checkpoint from a reduced walk must be resumed reduced
+/// (and vice versa): its frontier states are orbit representatives of
+/// a reduced graph, which the unreduced walk does not generate. A
+/// parallel run that loses every worker to panics in `expand` is run
+/// again, once, on the sequential driver, which has no worker threads
+/// to lose.
 pub fn explore<SP: StateSpace>(
     space: &SP,
     cfg: &ExploreConfig,
     resume: Option<ResumeState<SP::State>>,
 ) -> Exploration<SP::State, SP::Emit> {
     if cfg.jobs > 1 {
-        let ran = if cfg.reduction {
-            parallel(&Reduced { inner: space }, cfg, resume.as_ref())
-        } else {
-            parallel(space, cfg, resume.as_ref())
-        };
-        if let Some(ex) = ran {
+        if let Some(ex) = parallel(space, cfg, resume.as_ref()) {
             return ex;
         }
     }
     sequential(space, cfg, resume)
-}
-
-/// Estimated per-entry bookkeeping bytes of a hash-set entry (hash,
-/// bucket metadata, padding) on top of the state's inline size.
-pub const VISITED_ENTRY_OVERHEAD: usize = 48;
-
-/// Approximate heap footprint of a visited set holding `states` states
-/// of type `S`: inline size plus [`VISITED_ENTRY_OVERHEAD`] per entry.
-/// Heap indirections *inside* states (Vecs, maps) are not counted —
-/// the memory budget is a rail, not an allocator.
-pub fn approx_visited_bytes<S>(states: usize) -> usize {
-    states.saturating_mul(std::mem::size_of::<S>() + VISITED_ENTRY_OVERHEAD)
 }
 
 /// `Duration → u64` nanoseconds, saturating instead of silently
@@ -1203,18 +1226,6 @@ fn lock_tolerant<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// How long an injected [`FaultKind::Delay`] stalls a driver.
 const FAULT_DELAY: Duration = Duration::from_micros(100);
-
-fn budget_truncation<S>(states: usize, cfg: &ExploreConfig) -> Option<TruncationReason> {
-    if states >= cfg.max_states {
-        return Some(TruncationReason::StateLimit);
-    }
-    if let Some(budget) = cfg.max_memory {
-        if approx_visited_bytes::<S>(states) >= budget {
-            return Some(TruncationReason::MemoryBudget);
-        }
-    }
-    None
-}
 
 /// Records a truncation reason, first-stopping-reason-wins: a
 /// non-aborting depth pruning is overwritten by a stopping reason, but
@@ -1300,29 +1311,23 @@ fn sleep_bit(p: usize) -> u64 {
 /// The sequential driver's frontier and bookkeeping.
 struct SeqWalk<S> {
     max_depth: Option<usize>,
-    /// Digests of the states a resumed checkpoint had visited.
-    prior: HashSet<u128>,
-    /// State → the sleep mask it was (last) expanded under.
-    visited: HashMap<S, u64>,
+    /// State digest → the sleep mask it was last queued under.
+    visited: HashMap<u128, u64>,
     /// Unexpanded `(state, depth, sleep mask)` entries.
     stack: Vec<(S, usize, u64)>,
     /// Successors pruned by the depth bound: visited (so they dedup)
     /// but never expanded; parked for the resume frontier.
-    deep: Vec<(S, usize)>,
+    deep: Vec<(S, usize, u64)>,
     trunc: Option<TruncationReason>,
     stats: ExploreStats,
 }
 
-impl<S: Clone + Eq + Hash> SeqWalk<S> {
+impl<S: Hash> SeqWalk<S> {
     /// Queues a successor reached at `depth` under sleep mask `sleep`,
-    /// unless a prior run reached it, or this run already did under a
-    /// mask that sleeps no more processes.
+    /// unless the walk already reached it under a mask that sleeps no
+    /// more processes.
     fn admit(&mut self, next: S, depth: usize, sleep: u64) {
-        if !self.prior.is_empty() && self.prior.contains(&digest128(&next)) {
-            self.stats.dedup_hits += 1;
-            return;
-        }
-        let mask = match self.visited.entry(next.clone()) {
+        let mask = match self.visited.entry(digest128(&next)) {
             Entry::Occupied(mut e) => {
                 let stored = *e.get();
                 if stored & !sleep == 0 {
@@ -1337,7 +1342,7 @@ impl<S: Clone + Eq + Hash> SeqWalk<S> {
             Entry::Vacant(e) => *e.insert(sleep),
         };
         if self.max_depth.is_some_and(|md| depth > md) {
-            self.deep.push((next, depth));
+            self.deep.push((next, depth, mask));
             record_truncation(&mut self.trunc, TruncationReason::DepthLimit);
             return;
         }
@@ -1353,30 +1358,23 @@ impl<S: Clone + Eq + Hash> SeqWalk<S> {
 /// traces, visit-order-sensitive diagnostics) are bit-for-bit
 /// unchanged. Never fails: budget exhaustion returns partial results.
 ///
-/// Unreduced, every state is expanded once, whole. Under
-/// [`ExploreConfig::reduction`] a state whose space names enabled
-/// processes is expanded process by process instead, with
-/// ample-singleton persistent sets, orbit canonicalization, and sleep
-/// sets (Godefroid-style, adapted to a stateful search). Each frontier
-/// entry carries a *sleep mask*: the set of processes whose every move
-/// from this state is already covered by an earlier sibling branch, so
-/// expanding them here would only re-derive interleavings the walk has
-/// seen. The visited map remembers the mask each state was expanded
-/// under; re-reaching a state with a mask that sleeps *fewer* processes
-/// re-expands it under the intersection (masks only shrink, so this
-/// terminates), which is what keeps pruning sound when the same state
-/// is reached along paths with different coverage obligations.
-/// Unreduced, every mask is empty and the map is a plain visited set.
+/// Under [`ExploreConfig::reduction`] it adds sleep sets
+/// (Godefroid-style, adapted to a stateful search) to the step's ample
+/// sets and symmetry. Each frontier entry carries a *sleep mask*: the
+/// set of processes whose every move from this state is already
+/// covered by an earlier sibling branch, so expanding them here would
+/// only re-derive interleavings the walk has seen. The visited map
+/// remembers the mask each state was last queued under; re-reaching a
+/// state with a mask that sleeps *fewer* processes re-expands it under
+/// the intersection (masks only shrink, so this terminates), which is
+/// what keeps pruning sound when the same state is reached along paths
+/// with different coverage obligations. Unreduced, every mask is 0 and
+/// the map is a plain visited set.
 ///
-/// On truncation an unreduced walk's checkpoint carries the digests of
-/// every visited state. A reduced walk's carries the digests of **only
-/// the frontier states themselves**: a sleep-pruned state's coverage
-/// argument leans on sibling subtrees that may themselves have been
-/// cut by the budget, so the resumed run must be free to re-walk
-/// interior states. The frontier states are safe to deduplicate
-/// against because the resumed run seeds them all-awake and expands
-/// them fully. (The parallel driver explores a *fixed* reduced graph
-/// and keeps the full visited set either way.)
+/// On truncation the stack (with the depth-pruned entries after it)
+/// and the map are the checkpoint, so a resumed run continues this
+/// walk exactly: every coverage obligation a sleep mask leans on is
+/// either discharged already or still on the stack.
 fn sequential<SP: StateSpace>(
     space: &SP,
     cfg: &ExploreConfig,
@@ -1388,7 +1386,6 @@ fn sequential<SP: StateSpace>(
     let obs = RunObs::if_tracing();
     let mut walk = SeqWalk {
         max_depth: cfg.max_depth,
-        prior: HashSet::new(),
         visited: HashMap::new(),
         stack: Vec::new(),
         deep: Vec::new(),
@@ -1398,21 +1395,16 @@ fn sequential<SP: StateSpace>(
             ..Default::default()
         },
     };
+    // Budgets count this run's fresh states only.
+    let seeded = resume.as_ref().map_or(0, |r| r.visited.len());
     match resume {
         Some(r) => {
-            // Resumed frontier states get the all-awake mask: their
-            // sibling coverage may be gone, so re-explore everything.
-            walk.prior = r.visited_digests;
-            walk.stack = r.frontier.into_iter().map(|(s, d)| (s, d, 0)).collect();
+            walk.visited = r.visited;
+            walk.stack = r.frontier;
         }
         None => {
-            for s in space.initial() {
-                let s = if reduced {
-                    canon_counted(space, &s).unwrap_or(s)
-                } else {
-                    s
-                };
-                if let Entry::Vacant(e) = walk.visited.entry(s.clone()) {
+            for s in roots(space, reduced) {
+                if let Entry::Vacant(e) = walk.visited.entry(digest128(&s)) {
                     e.insert(0);
                     walk.stack.push((s, 0, 0));
                 }
@@ -1423,9 +1415,10 @@ fn sequential<SP: StateSpace>(
     let mut emits: Vec<SP::Emit> = Vec::new();
     let mut poller = cfg.deadline.map(|d| DeadlinePoller::new(start, d));
     let mut sink = Sink::new();
-    'walk: loop {
-        if let Some(r) = budget_truncation::<SP::State>(walk.visited.len(), cfg) {
-            record_truncation(&mut walk.trunc, r);
+    let mut succ = Vec::new();
+    loop {
+        if walk.visited.len() - seeded >= cfg.max_states {
+            record_truncation(&mut walk.trunc, TruncationReason::StateLimit);
             break;
         }
         if poller.as_mut().is_some_and(|p| p.expired()) {
@@ -1448,118 +1441,27 @@ fn sequential<SP: StateSpace>(
         };
         walk.stats.popped += 1;
         let t_expand = obs.as_ref().map(|_| Instant::now());
-        let enabled = if reduced {
-            space.enabled(&state)
-        } else {
-            Vec::new()
-        };
-        let mut whole = enabled.is_empty();
-        if !whole {
-            // Sleep masks only work for process ids < 64; wider spaces
-            // run ample+canon only.
-            let maskable = enabled.iter().all(|&p| p < 64);
-            let sleep = if maskable { sleep } else { 0 };
-            let mut base: Vec<usize> = match ample_singleton(space, &state, &enabled) {
-                Some(p) => vec![p],
-                None => enabled.clone(),
-            };
-            // An ample singleton that yields nothing (or only spins in
-            // place) is stuck; the stuckness is detected before its
-            // (empty) expansion is committed, so restarting the pass
-            // with the full enabled set is clean.
-            let mut pass_yielded = false;
-            let mut pass_asleep;
-            'pass: loop {
-                let ample_cut = base.len() < enabled.len();
-                let asleep = base.iter().filter(|&&p| sleep & sleep_bit(p) != 0).count();
-                pass_asleep = asleep;
-                let explore_list: Vec<usize> = base
-                    .iter()
-                    .copied()
-                    .filter(|&p| sleep & sleep_bit(p) == 0)
-                    .collect();
-                if asleep > 0 {
-                    OBS_SLEEP_PRUNED.add(asleep as u64);
-                }
-                let mut sleep_acc = sleep;
-                for &p in &explore_list {
-                    let now_p = space.now(&state, p);
-                    let mut child_sleep = 0u64;
-                    if maskable {
-                        for q in mask_bits(sleep_acc) {
-                            if !space.now(&state, q).conflicts(&now_p) {
-                                child_sleep |= 1u64 << q;
-                            }
-                        }
-                    }
-                    let mark_succ = sink.succ.len();
-                    let mark_emit = sink.emits.len();
-                    space.expand_proc(&state, p, &mut sink);
-                    let fresh = &sink.succ[mark_succ..];
-                    let yielded = !fresh.is_empty() || sink.emits.len() > mark_emit;
-                    let self_loop_only = !fresh.is_empty() && fresh.iter().all(|n| *n == state);
-                    if ample_cut && (!yielded || self_loop_only) {
-                        sink.succ.truncate(mark_succ);
-                        sink.emits.truncate(mark_emit);
-                        base = enabled.clone();
-                        pass_yielded = false;
-                        continue 'pass;
-                    }
-                    pass_yielded |= yielded;
-                    for next in sink.succ.drain(mark_succ..) {
-                        match canon_counted(space, &next) {
-                            // Canonicalization permutes process ids, so
-                            // the child's sleep obligations no longer
-                            // line up: wake everything.
-                            Some(c) => walk.admit(c, depth + 1, 0),
-                            None => walk.admit(next, depth + 1, child_sleep),
-                        }
-                    }
-                    emits.append(&mut sink.emits);
-                    if sink.halted {
-                        break 'walk;
-                    }
-                    sleep_acc |= sleep_bit(p);
-                }
-                if ample_cut {
-                    OBS_PERSISTENT_CUT.add((enabled.len() - 1) as u64);
-                }
-                break;
-            }
-            // Cross-process dead end: nothing slept, nothing yielded.
-            whole = !pass_yielded && pass_asleep == 0;
+        expand_step(space, reduced, &state, Some(sleep), &mut sink, &mut succ);
+        emits.append(&mut sink.emits);
+        if sink.halted {
+            break;
         }
-        if whole {
-            expand_whole(space, &state, reduced, &mut sink);
-            emits.append(&mut sink.emits);
-            if sink.halted {
-                sink.succ.clear();
-                break;
-            }
-            for next in sink.succ.drain(..) {
-                let next = if reduced {
-                    canon_counted(space, &next).unwrap_or(next)
-                } else {
-                    next
-                };
-                walk.admit(next, depth + 1, 0);
-            }
+        for (next, mask) in succ.drain(..) {
+            walk.admit(next, depth + 1, mask);
         }
         if let (Some(o), Some(t)) = (&obs, t_expand) {
             o.expand.record(t.elapsed());
         }
     }
-    emits.append(&mut sink.emits);
     let SeqWalk {
-        prior,
         visited,
-        stack,
+        mut stack,
         mut deep,
         trunc,
         mut stats,
         ..
     } = walk;
-    stats.states = visited.len();
+    stats.states = visited.len() - seeded;
     stats.wall_ns = saturating_ns(start.elapsed());
     OBS_POPPED.add(stats.popped as u64);
     OBS_PUSHED.add(stats.pushed as u64);
@@ -1567,62 +1469,57 @@ fn sequential<SP: StateSpace>(
     if let Some(o) = &obs {
         o.finish("explore.sequential");
     }
-    let resume_out = match trunc {
-        None => None,
-        Some(reason) => {
-            let mut frontier: Vec<(SP::State, usize)> =
-                stack.into_iter().map(|(s, d, _)| (s, d)).collect();
-            frontier.append(&mut deep);
-            stats.completeness = Completeness::Truncated {
-                reason,
-                frontier_len: frontier.len(),
-            };
-            let visited_digests = if reduced {
-                frontier.iter().map(|(s, _)| digest128(s)).collect()
-            } else {
-                let mut digests = prior;
-                digests.extend(visited.keys().map(digest128));
-                digests
-            };
-            Some(ResumeState {
-                frontier,
-                visited_digests,
-            })
+    let resume = trunc.map(|reason| {
+        stack.append(&mut deep);
+        stats.completeness = Completeness::Truncated {
+            reason,
+            frontier_len: stack.len(),
+        };
+        ResumeState {
+            frontier: stack,
+            visited,
         }
-    };
+    });
     Exploration {
         emits,
         stats,
-        resume: resume_out,
+        resume,
     }
 }
 
-/// The visited set of the parallel driver: `HashSet` shards behind
-/// mutexes, indexed by the state's hash, so concurrent inserts on
-/// different shards never contend.
-struct ShardedVisited<S> {
-    shards: Vec<Mutex<HashSet<S>>>,
-    hasher: BuildHasherDefault<DefaultHasher>,
-    len: AtomicUsize,
+/// The visited map of the parallel driver: digest → sleep mask, in
+/// shards behind mutexes chosen by the digest's low bits, so
+/// concurrent inserts on different shards never contend.
+struct ShardedVisited {
+    shards: Vec<Mutex<HashMap<u128, u64>>>,
+    /// Digests this run added (the seeded checkpoint's excluded).
+    fresh: AtomicUsize,
 }
 
-impl<S: Eq + Hash> ShardedVisited<S> {
+impl ShardedVisited {
+    /// `shards` must be a power of two.
     fn new(shards: usize) -> Self {
         ShardedVisited {
-            shards: (0..shards).map(|_| Mutex::new(HashSet::new())).collect(),
-            hasher: BuildHasherDefault::default(),
-            len: AtomicUsize::new(0),
+            shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
+            fresh: AtomicUsize::new(0),
         }
     }
 
-    /// Inserts, returning `true` when the state is fresh.
-    fn insert(&self, state: S) -> bool {
-        let shard = (self.hasher.hash_one(&state) as usize) % self.shards.len();
-        let fresh = lock_tolerant(&self.shards[shard]).insert(state);
-        if fresh {
-            self.len.fetch_add(1, Ordering::Relaxed);
+    fn shard(&self, digest: u128) -> MutexGuard<'_, HashMap<u128, u64>> {
+        lock_tolerant(&self.shards[digest as usize & (self.shards.len() - 1)])
+    }
+
+    /// Marks the state with `digest` as expanded all-awake, returning
+    /// `true` when it is to be expanded: it is fresh, or the sequential
+    /// leg of a resumed walk left it under a non-zero sleep mask.
+    fn insert(&self, digest: u128) -> bool {
+        match self.shard(digest).insert(digest, 0) {
+            None => {
+                self.fresh.fetch_add(1, Ordering::Relaxed);
+                true
+            }
+            Some(mask) => mask != 0,
         }
-        fresh
     }
 }
 
@@ -1665,6 +1562,13 @@ fn drain_to_survivors<S>(queues: &[Mutex<VecDeque<(S, usize)>>], me: usize) {
 /// when it reaches zero, no state exists anywhere and no expansion is
 /// in flight, so the frontier can never grow again.
 ///
+/// Sleep sets are order-dependent and worker interleaving is not, so
+/// this driver expands every state all-awake (mask 0): under reduction
+/// it walks the fixed graph of ample sets and orbit representatives. A
+/// state that a sequential leg of the same walk left under a non-zero
+/// mask is expanded again when reached, so either driver resumes the
+/// other's checkpoint.
+///
 /// Every worker runs inside `catch_unwind`. A panic in `expand` kills
 /// only that worker: the containment handler requeues the in-flight
 /// state (parked in a per-worker slot for exactly this purpose) and
@@ -1686,9 +1590,7 @@ fn parallel<SP: StateSpace>(
     );
     let obs = RunObs::if_tracing();
     let obs = obs.as_ref();
-    let no_prior = HashSet::new();
-    let prior = resume.map_or(&no_prior, |r| &r.visited_digests);
-    let visited: ShardedVisited<SP::State> = ShardedVisited::new((jobs * 8).next_power_of_two());
+    let visited = ShardedVisited::new((jobs * 8).next_power_of_two());
     type WorkQueue<S> = Mutex<VecDeque<(S, usize)>>;
     let queues: Vec<WorkQueue<SP::State>> =
         (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect();
@@ -1709,19 +1611,25 @@ fn parallel<SP: StateSpace>(
     let trunc: Mutex<Option<TruncationReason>> = Mutex::new(None);
 
     // Seed the workers' deques round-robin: from the checkpoint's
-    // frontier when resuming, from the initial states otherwise.
+    // frontier (all-awake from now on) over its visited map when
+    // resuming, from the initial states otherwise.
     {
         let mut count = 0usize;
         match resume {
             Some(r) => {
-                for (i, item) in r.frontier.iter().cloned().enumerate() {
-                    lock_tolerant(&queues[i % jobs]).push_back(item);
+                for (&digest, &mask) in &r.visited {
+                    visited.shard(digest).insert(digest, mask);
+                }
+                for (i, (s, depth, _)) in r.frontier.iter().enumerate() {
+                    let digest = digest128(s);
+                    visited.shard(digest).insert(digest, 0);
+                    lock_tolerant(&queues[i % jobs]).push_back((s.clone(), *depth));
                     count += 1;
                 }
             }
             None => {
-                for (i, s) in space.initial().into_iter().enumerate() {
-                    if visited.insert(s.clone()) {
+                for (i, s) in roots(space, cfg.reduction).into_iter().enumerate() {
+                    if visited.insert(digest128(&s)) {
                         lock_tolerant(&queues[i % jobs]).push_back((s, 0));
                         count += 1;
                     }
@@ -1761,16 +1669,15 @@ fn parallel<SP: StateSpace>(
                 let mut emits: Vec<SP::Emit> = Vec::new();
                 let caught = catch_unwind(AssertUnwindSafe(|| {
                     let mut sink = Sink::new();
+                    let mut succ = Vec::new();
                     let mut spins = 0u32;
                     let mut poller = cfg.deadline.map(|d| DeadlinePoller::new(start, d));
                     loop {
                         if abort.load(Ordering::Relaxed) {
                             break;
                         }
-                        if let Some(r) =
-                            budget_truncation::<SP::State>(visited.len.load(Ordering::Relaxed), cfg)
-                        {
-                            truncate(r);
+                        if visited.fresh.load(Ordering::Relaxed) >= cfg.max_states {
+                            truncate(TruncationReason::StateLimit);
                             break;
                         }
                         if poller.as_mut().is_some_and(|p| p.expired()) {
@@ -1846,30 +1753,28 @@ fn parallel<SP: StateSpace>(
                         *slot = Some((state, depth));
                         {
                             let parked = slot.as_ref().expect("in-flight state just parked");
-                            match obs {
-                                Some(o) => {
-                                    let t = Instant::now();
-                                    space.expand(&parked.0, &mut sink);
-                                    o.expand.record(t.elapsed());
-                                }
-                                None => space.expand(&parked.0, &mut sink),
+                            let t = obs.map(|_| Instant::now());
+                            expand_step(
+                                space,
+                                cfg.reduction,
+                                &parked.0,
+                                None,
+                                &mut sink,
+                                &mut succ,
+                            );
+                            if let (Some(o), Some(t)) = (obs, t) {
+                                o.expand.record(t.elapsed());
                             }
                         }
                         emits.append(&mut sink.emits);
                         if sink.halted {
-                            sink.halted = false;
-                            sink.succ.clear();
                             *slot = None;
                             abort.store(true, Ordering::SeqCst);
                             break;
                         }
                         let mut fresh: Vec<(SP::State, usize)> = Vec::new();
-                        for next in sink.succ.drain(..) {
-                            if !prior.is_empty() && prior.contains(&digest128(&next)) {
-                                dedup_hits.fetch_add(1, Ordering::Relaxed);
-                                continue;
-                            }
-                            if !visited.insert(next.clone()) {
+                        for (next, _) in succ.drain(..) {
+                            if !visited.insert(digest128(&next)) {
                                 dedup_hits.fetch_add(1, Ordering::Relaxed);
                                 continue;
                             }
@@ -1939,7 +1844,7 @@ fn parallel<SP: StateSpace>(
         return None;
     }
     let mut stats = ExploreStats {
-        states: visited.len.load(Ordering::Relaxed),
+        states: visited.fresh.load(Ordering::Relaxed),
         frontier_peak: frontier_peak.load(Ordering::Relaxed),
         dedup_hits: dedup_hits.load(Ordering::Relaxed),
         popped: popped.load(Ordering::Relaxed),
@@ -1956,40 +1861,34 @@ fn parallel<SP: StateSpace>(
     if let Some(o) = obs {
         o.finish("explore.parallel");
     }
-    let trunc_reason = lock_tolerant(&trunc).take();
-    let resume_out = match trunc_reason {
-        None => None,
-        Some(reason) => {
-            let mut frontier: Vec<(SP::State, usize)> = Vec::new();
-            for q in &queues {
-                frontier.extend(lock_tolerant(q).drain(..));
-            }
-            frontier.append(&mut lock_tolerant(&deep));
-            for slot in &inflight {
-                if let Some(item) = lock_tolerant(slot).take() {
-                    frontier.push(item);
-                }
-            }
-            let mut digests = prior.clone();
-            for shard in &visited.shards {
-                for s in lock_tolerant(shard).iter() {
-                    digests.insert(digest128(s));
-                }
-            }
-            stats.completeness = Completeness::Truncated {
-                reason,
-                frontier_len: frontier.len(),
-            };
-            Some(ResumeState {
-                frontier,
-                visited_digests: digests,
-            })
+    let resume = lock_tolerant(&trunc).take().map(|reason| {
+        let mut parked: Vec<(SP::State, usize)> = Vec::new();
+        for q in &queues {
+            parked.extend(lock_tolerant(q).drain(..));
         }
-    };
+        parked.append(&mut lock_tolerant(&deep));
+        parked.extend(
+            inflight
+                .iter()
+                .filter_map(|slot| lock_tolerant(slot).take()),
+        );
+        stats.completeness = Completeness::Truncated {
+            reason,
+            frontier_len: parked.len(),
+        };
+        let mut map = HashMap::new();
+        for shard in &visited.shards {
+            map.extend(lock_tolerant(shard).drain());
+        }
+        ResumeState {
+            frontier: parked.into_iter().map(|(s, d)| (s, d, 0)).collect(),
+            visited: map,
+        }
+    });
     Some(Exploration {
         emits: all_emits,
         stats,
-        resume: resume_out,
+        resume,
     })
 }
 
@@ -2112,7 +2011,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeSet, HashSet};
 
     /// The n-bit hypercube: states are bitmasks, each expansion sets one
     /// more bit, terminal state is all-ones. 2^n states, heavily
@@ -2364,13 +2263,14 @@ mod tests {
     /// token, plus `racers` identical processes that each increment a
     /// shared register non-atomically (load, then store), so the final
     /// register value depends on the interleaving. Process ids start at
-    /// `first_id`; the racers are symmetric. Terminal states emit
-    /// themselves.
+    /// `first_id`; the racers are symmetric, and `symmetric` says
+    /// whether the space reports it. Terminal states emit themselves.
     struct Procs {
         counters: usize,
         racers: usize,
         limit: u8,
         first_id: usize,
+        symmetric: bool,
     }
 
     #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -2467,10 +2367,13 @@ mod tests {
         fn canon(&self, s: &ProcState) -> Option<ProcState> {
             let mut c = s.clone();
             c.racers.sort();
-            (c != *s).then_some(c)
+            (self.symmetric && c != *s).then_some(c)
         }
 
         fn orbit(&self, s: &ProcState) -> Vec<ProcState> {
+            if !self.symmetric {
+                return Vec::new();
+            }
             arrangements(&s.racers)
                 .into_iter()
                 .filter(|r| *r != s.racers)
@@ -2532,6 +2435,7 @@ mod tests {
             racers: 3,
             limit: 2,
             first_id,
+            symmetric: true,
         }
     }
 
@@ -2572,6 +2476,13 @@ mod tests {
         check_against_reference("chain", &Chain { len: 50 });
         check_against_reference("procs", &procs(0));
         check_against_reference("procs past the sleep mask", &procs(64));
+        check_against_reference(
+            "procs without symmetry",
+            &Procs {
+                symmetric: false,
+                ..procs(0)
+            },
+        );
     }
 
     #[test]
@@ -2601,32 +2512,70 @@ mod tests {
         }
     }
 
+    /// Walks `space` reduced in legs from a first budget of `budget`,
+    /// doubling it each leg, the legs alternating between the worker
+    /// counts in `jobs` (the first parks, the second resumes, and so
+    /// on). Returns the emission set, the legs' summed `states` and
+    /// `popped`, and whether a parked checkpoint held a non-zero sleep
+    /// mask.
+    fn resume_legs(
+        space: &Procs,
+        budget: usize,
+        jobs: [usize; 2],
+    ) -> (BTreeSet<ProcState>, usize, usize, bool) {
+        let mut cfg = ExploreConfig::with_max_states(budget).reduction(true);
+        let (mut got, mut states, mut popped, mut masked) = (BTreeSet::new(), 0, 0, false);
+        let mut resume = None;
+        for leg in 0.. {
+            assert!(leg < 100, "{jobs:?} from {budget}: did not converge");
+            cfg.jobs = jobs[leg % 2];
+            let r = explore(space, &cfg, resume.take());
+            got.extend(r.emits);
+            states += r.stats.states;
+            popped += r.stats.popped;
+            let Some(ckpt) = r.resume else {
+                assert!(r.stats.completeness.is_exhaustive());
+                break;
+            };
+            masked |= ckpt.visited.values().any(|&m| m != 0);
+            resume = Some(ckpt);
+            cfg.max_states *= 2;
+        }
+        (got, states, popped, masked)
+    }
+
     #[test]
     fn truncated_reduced_walks_resume_to_the_same_outcomes() {
-        let space = procs(0);
-        let (want, _) = reference_walk(&space);
-        for jobs in [1usize, 2, 4] {
-            let mut cfg = ExploreConfig::with_max_states(4).jobs(jobs).reduction(true);
-            let mut got = BTreeSet::new();
-            let mut resume = None;
-            for round in 0.. {
-                assert!(round < 100, "jobs={jobs}: did not converge");
-                let r = explore(&space, &cfg, resume.take());
-                got.extend(r.emits);
-                let Some(ckpt) = r.resume else {
-                    break;
-                };
-                if jobs == 1 {
-                    // Only the frontier's own digests: interior states
-                    // must stay re-walkable.
-                    let frontier: HashSet<u128> =
-                        ckpt.frontier.iter().map(|(s, _)| digest128(s)).collect();
-                    assert_eq!(ckpt.visited_digests, frontier);
+        // Symmetry wakes every process it relabels, so only the
+        // asymmetric `procs` parks sequential checkpoints that hold
+        // sleep masks; the mixed pairs resume those on the parallel
+        // driver, and parallel ones on the sequential driver.
+        for space in [
+            procs(0),
+            Procs {
+                symmetric: false,
+                ..procs(0)
+            },
+        ] {
+            let (want, _) = reference_walk(&space);
+            let fresh = explore(&space, &ExploreConfig::default().reduction(true), None).stats;
+            let mut masked = false;
+            for jobs in [[1, 1], [2, 2], [4, 4], [1, 2], [1, 4], [2, 1], [4, 1]] {
+                for budget in [1, 3, 7, 20] {
+                    let at = format!(
+                        "symmetric={}, jobs {jobs:?}, first budget {budget}",
+                        space.symmetric
+                    );
+                    let (got, states, popped, m) = resume_legs(&space, budget, jobs);
+                    masked |= m;
+                    assert_eq!(got, want, "{at}");
+                    if jobs == [1, 1] {
+                        // The legs continue one walk: none is walked twice.
+                        assert_eq!((states, popped), (fresh.states, fresh.popped), "{at}");
+                    }
                 }
-                resume = Some(ckpt);
-                cfg.max_states *= 2;
             }
-            assert_eq!(got, want, "jobs={jobs}");
+            assert!(space.symmetric || masked, "no checkpoint held a sleep mask");
         }
     }
 
@@ -2649,7 +2598,7 @@ mod tests {
         assert!(!r.emits.is_empty(), "partial results must be returned");
         let resume = r.resume.expect("truncated run must carry a checkpoint");
         assert_eq!(resume.frontier.len(), 1);
-        assert_eq!(resume.visited_digests.len(), r.stats.states);
+        assert_eq!(resume.visited.len(), r.stats.states);
     }
 
     #[test]
@@ -2675,21 +2624,6 @@ mod tests {
         // Workers race past the limit by at most ~one expansion each.
         assert!(r.stats.states >= 100 && r.stats.states < 100 + 4 * 16);
         assert!(r.resume.is_some());
-    }
-
-    #[test]
-    fn memory_budget_truncates() {
-        let space = Chain { len: 100_000 };
-        let budget = approx_visited_bytes::<u64>(64);
-        let r = explore(&space, &ExploreConfig::default().max_memory(budget), None);
-        match r.stats.completeness {
-            Completeness::Truncated {
-                reason: TruncationReason::MemoryBudget,
-                ..
-            } => {}
-            other => panic!("expected memory-budget truncation, got {other:?}"),
-        }
-        assert!(r.stats.states >= 64 && r.stats.states < 128);
     }
 
     #[test]
@@ -2760,7 +2694,7 @@ mod tests {
         assert!(resume
             .frontier
             .iter()
-            .all(|&(s, d)| { s.count_ones() == 4 && d == 4 }));
+            .all(|&(s, d, _)| { s.count_ones() == 4 && d == 4 }));
     }
 
     #[test]
@@ -3001,7 +2935,6 @@ mod tests {
                 (0, StateLimit),
                 (1, DepthLimit),
                 (2, Deadline),
-                (3, MemoryBudget),
                 (4, WorkerLost)
             ]
         );

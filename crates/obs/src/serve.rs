@@ -32,7 +32,7 @@ pub const JOBS_COMPLETED: &str = "serve/jobs_completed";
 /// escalation lane with doubled budgets.
 pub const JOBS_ESCALATED: &str = "serve/jobs_escalated";
 /// Escalated or re-queried jobs that resumed from a parked checkpoint
-/// (its sealed `VRMSRES3` image) instead of restarting from scratch.
+/// (its sealed `VRMSRES4` image) instead of restarting from scratch.
 pub const CHECKPOINT_RESUME: &str = "serve/checkpoint_resume";
 /// Cached checkpoints rejected as corrupt (footer or decode failure).
 pub const CHECKPOINT_CORRUPT: &str = "serve/checkpoint_corrupt";

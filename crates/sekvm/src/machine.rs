@@ -8,7 +8,7 @@
 //! releases. A seeded scheduler picks the next CPU each step, so runs are
 //! reproducible while exercising many interleavings.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{BTreeSet, HashMap};
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -625,9 +625,9 @@ impl Machine {
 
     /// [`explore_schedules`](Self::explore_schedules), optionally
     /// resuming a prior truncated exploration's [`ScheduleResume`]
-    /// instead of restarting: the engine re-seeds its frontier from the
-    /// parked checkpoint and deduplicates against the prior run's
-    /// visited digests, so only fresh states are explored. The returned
+    /// instead of restarting: the engine seeds its visited map and its
+    /// frontier from the parked checkpoint, so the walk continues where
+    /// it stopped and only fresh states are explored. The returned
     /// report's outcomes are the **union** of the prior partial
     /// outcomes and this run's, and its stats sum both attempts'
     /// counters — with the *final* attempt's completeness, because a
@@ -846,7 +846,7 @@ impl std::fmt::Debug for ScheduleResume {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ScheduleResume")
             .field("frontier_len", &self.frontier_len())
-            .field("visited", &self.checkpoint.visited_digests.len())
+            .field("visited", &self.checkpoint.visited.len())
             .field("outcomes", &self.outcomes)
             .field("stats", &self.stats)
             .finish()
@@ -865,29 +865,36 @@ impl ScheduleResume {
     }
 
     /// Serializes the suspended walk to one [`vrm_explore::seal`]ed
-    /// image behind [`RESUME_MAGIC`]: the visited digests in ascending
-    /// order, each frontier entry as its depth and **schedule path**
-    /// (the CPU choices from the root, which replay repeats), the
-    /// partial outcomes in order, and the stats. A `KCore` is never
-    /// encoded; determinism of the step function is what makes the
-    /// paths a faithful image, and the fixed orders make the image
-    /// canonical: [`from_bytes`](Self::from_bytes) followed by
-    /// `to_bytes` returns the same bytes.
+    /// image behind [`RESUME_MAGIC`]: the visited map as (digest, sleep
+    /// mask) pairs in ascending digest order, each frontier entry as its
+    /// depth, sleep mask and **schedule path** (the CPU choices from the
+    /// root, which replay repeats), the partial outcomes in order, and
+    /// the stats. A `KCore` is never encoded; determinism of the step
+    /// function is what makes the paths a faithful image, and the fixed
+    /// orders make the image canonical: [`from_bytes`](Self::from_bytes)
+    /// followed by `to_bytes` returns the same bytes.
     ///
     /// This is the durable/wire format: the serve layer's write-ahead
     /// log and worker-process stdio both carry exactly these bytes.
     /// Never `None`.
     pub fn to_bytes(&self) -> Option<Vec<u8>> {
         let mut out = RESUME_MAGIC.to_vec();
-        let mut digests: Vec<u128> = self.checkpoint.visited_digests.iter().copied().collect();
-        digests.sort_unstable();
-        out.extend_from_slice(&(digests.len() as u64).to_le_bytes());
-        for d in digests {
-            out.extend_from_slice(&d.to_le_bytes());
+        let mut visited: Vec<(u128, u64)> = self
+            .checkpoint
+            .visited
+            .iter()
+            .map(|(&d, &m)| (d, m))
+            .collect();
+        visited.sort_unstable();
+        out.extend_from_slice(&(visited.len() as u64).to_le_bytes());
+        for (digest, mask) in visited {
+            out.extend_from_slice(&digest.to_le_bytes());
+            out.extend_from_slice(&mask.to_le_bytes());
         }
         out.extend_from_slice(&(self.checkpoint.frontier.len() as u64).to_le_bytes());
-        for (node, depth) in &self.checkpoint.frontier {
+        for (node, depth, mask) in &self.checkpoint.frontier {
             out.extend_from_slice(&(*depth as u64).to_le_bytes());
+            out.extend_from_slice(&mask.to_le_bytes());
             out.extend_from_slice(&(node.path.len() as u32).to_le_bytes());
             for &cpu in &node.path {
                 out.extend_from_slice(&cpu.to_le_bytes());
@@ -936,9 +943,9 @@ impl ScheduleResume {
     /// image by replaying each frontier path from the workload's
     /// initial state. [`vrm_explore::unseal`] checks the footer and the
     /// magic before any field is read, so a clipped or bit-flipped
-    /// image, or a `VRMSRES1`/`VRMSRES2` blob of an older build, is
+    /// image, or a `VRMSRES1`–`VRMSRES3` blob of an older build, is
     /// refused whole. Every replayed node's [`vrm_explore::digest128`]
-    /// must appear in the image's own visited set: an image parked by
+    /// must appear in the image's own visited map: an image parked by
     /// a different build or workload fails this soundness check
     /// ([`CheckpointFault::BadState`]) instead of silently resuming a
     /// wrong walk. All rejections surface as
@@ -958,25 +965,26 @@ impl ScheduleResume {
 /// Decodes the body of a [`ScheduleResume`] image, rebuilding each
 /// frontier node by replaying its path from `root`. `None` when a
 /// field is malformed or left over, a path names a CPU the workload
-/// lacks, or a rebuilt node is not in the image's visited set.
+/// lacks, or a rebuilt node is not in the image's visited map.
 fn decode_image(mut c: Cursor<'_>, root: &SchedNode) -> Option<ScheduleResume> {
     let identity: Vec<usize> = (0..root.cpus.len()).collect();
     let n = c.u64()?;
-    let visited_digests = (0..n)
-        .map(|_| c.u128())
-        .collect::<Option<HashSet<u128>>>()?;
+    let visited = (0..n)
+        .map(|_| Some((c.u128()?, c.u64()?)))
+        .collect::<Option<HashMap<u128, u64>>>()?;
     let n = c.u64()?;
     let frontier = (0..n)
         .map(|_| {
             let depth = c.u64()? as usize;
+            let mask = c.u64()?;
             let len = c.u32()?;
             let path = (0..len)
                 .map(|_| c.u16().filter(|&cpu| usize::from(cpu) < identity.len()))
                 .collect::<Option<Vec<u16>>>()?;
             let node = replay(root, &path, &identity);
-            visited_digests
-                .contains(&vrm_explore::digest128(&node))
-                .then_some((node, depth))
+            visited
+                .contains_key(&vrm_explore::digest128(&node))
+                .then_some((node, depth, mask))
         })
         .collect::<Option<Vec<_>>>()?;
     let n = c.u64()?;
@@ -1028,21 +1036,20 @@ fn decode_image(mut c: Cursor<'_>, root: &SchedNode) -> Option<ScheduleResume> {
         completeness,
     };
     c.is_empty().then_some(ScheduleResume {
-        checkpoint: ResumeState {
-            frontier,
-            visited_digests,
-        },
+        checkpoint: ResumeState { frontier, visited },
         outcomes,
         stats,
     })
 }
 
 /// Magic + version prefix of the sealed [`ScheduleResume`] image
-/// ([`ScheduleResume::to_bytes`]). Version 3 is one sealed image;
+/// ([`ScheduleResume::to_bytes`]). Version 4 carries each visited
+/// digest's and frontier entry's sleep mask, so a resumed walk
+/// continues the interrupted one; version 3 carried the digests alone,
 /// version 2 nested a second sealed container for the frontier, and
-/// version 1's digests hashed the state's debug text. Both are refused
-/// as [`CheckpointFault::BadMagic`].
-pub const RESUME_MAGIC: &[u8; 8] = b"VRMSRES3";
+/// version 1's digests hashed the state's debug text. All three are
+/// refused as [`CheckpointFault::BadMagic`].
+pub const RESUME_MAGIC: &[u8; 8] = b"VRMSRES4";
 
 /// The machine's observable behaviour over all schedules.
 #[derive(Debug)]
@@ -1642,13 +1649,9 @@ mod tests {
                         assert!(report.stats.completeness.is_exhaustive(), "{case}");
                         assert_eq!(report.outcomes, fresh.outcomes, "{case}");
                         assert_eq!(report.verdict(), fresh.verdict(), "{case}");
-                        if !reduction {
-                            // Nothing revisited, nothing lost. (A reduced
-                            // sequential checkpoint carries only its
-                            // frontier's digests, so its resumption may
-                            // revisit states: docs/REDUCTION.md §5.)
-                            assert_eq!(report.stats.states, fresh.stats.states, "{case}");
-                        }
+                        // Nothing revisited, nothing lost: each leg
+                        // continues the walk the last one parked.
+                        assert_eq!(report.stats.states, fresh.stats.states, "{case}");
                     }
                 }
             }

@@ -135,7 +135,7 @@ fn wdrf_config(cfg: &JobConfig) -> WdrfCheckConfig {
     w
 }
 
-/// Rebuilds a parked walk from its sealed `VRMSRES3` image
+/// Rebuilds a parked walk from its sealed `VRMSRES4` image
 /// ([`ScheduleResume::from_bytes`]), replaying the serialized schedule
 /// paths under the job's own scripts. `Err` means the blob is corrupt,
 /// of an older format, or parked by a different workload, and must be

@@ -26,7 +26,7 @@
 //! | kind | meaning | payload |
 //! |------|---------|---------|
 //! | 1 | verdict insert | digest `u128`, verdict, `states u64`, `wall_ns u64`, detail (`u32` length + UTF-8) |
-//! | 2 | checkpoint park | program digest `u128`, `u32` length, sealed `VRMSRES3` image |
+//! | 2 | checkpoint park | program digest `u128`, `u32` length, sealed `VRMSRES4` image |
 //! | 3 | checkpoint take | program digest `u128` |
 //! | 4 | verdict remove (TTL expiry) | digest `u128` |
 //!
@@ -35,7 +35,7 @@
 //! [`TruncationReason::tag`] byte.
 //!
 //! A park record's blob is opaque here: one from an older format
-//! (`VRMSRES1`, `VRMSRES2`) replays into the store like any other, and
+//! (`VRMSRES1` to `VRMSRES3`) replays into the store like any other, and
 //! the job that takes it fails to decode it, counts it on
 //! `serve/checkpoint_corrupt` and walks from scratch.
 //!
@@ -112,7 +112,7 @@ pub enum WalRecord {
         entry: CacheEntry,
     },
     /// A suspended walk was parked, serialized as its sealed
-    /// `VRMSRES3` image.
+    /// `VRMSRES4` image.
     Park {
         /// The program digest (the checkpoint-store key).
         pdigest: u128,

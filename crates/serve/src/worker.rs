@@ -2,7 +2,7 @@
 //!
 //! `serve worker` reads a single submit-shaped JSON line from stdin
 //! (plus an optional `resume` field carrying a checkpoint's sealed
-//! `VRMSRES3` image in hex), executes it in-process exactly as a
+//! `VRMSRES4` image in hex), executes it in-process exactly as a
 //! daemon worker thread would ([`crate::job::execute_blob`]), writes a
 //! single result line to stdout — the [`crate::protocol::render_result`]
 //! shape extended with `frontier_len` and `reason_tag` (the

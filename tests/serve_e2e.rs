@@ -217,6 +217,10 @@ fn daemon_matches_cli_caches_repeats_and_resumes_unknowns() {
         doubled.states,
         "resumed walk must continue exactly where the budget cut it"
     );
+    assert_eq!(
+        doubled.states, 117,
+        "the resumed legs together walk unmap's 117 states once"
+    );
     assert_eq!(resume.get() - resume0, 1, "exactly one checkpoint resume");
 
     svc.shutdown();

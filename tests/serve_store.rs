@@ -210,9 +210,10 @@ fn an_expired_unknown_is_reexplored_from_its_checkpoint() {
 }
 
 /// The magics of the schedule-checkpoint formats this build refuses:
-/// version 1 digested the state's debug text, and version 2 nested the
-/// engine's own sealed container inside its image.
-const OLD_VERSIONS: [&[u8; 8]; 2] = [b"VRMSRES1", b"VRMSRES2"];
+/// version 1 digested the state's debug text, version 2 nested the
+/// engine's own sealed container inside its image, and version 3
+/// carried no sleep masks.
+const OLD_VERSIONS: [&[u8; 8]; 3] = [b"VRMSRES1", b"VRMSRES2", b"VRMSRES3"];
 
 /// The unmap walk parked at 40 states, sealed under an older format's
 /// `magic`: intact, and refused only because of what the magic says.
@@ -227,7 +228,7 @@ fn old_version_blob(magic: &[u8; 8]) -> Vec<u8> {
         .resume
         .expect("a 40-state unmap walk is truncated");
     let image = parked.to_bytes().expect("images are never None");
-    assert_eq!(&image[..8], b"VRMSRES3");
+    assert_eq!(&image[..8], b"VRMSRES4");
     let mut body = magic.to_vec();
     body.extend_from_slice(&image[8..image.len() - CHECKPOINT_FOOTER_LEN]);
     seal(body)
