@@ -322,7 +322,9 @@ impl PageTable {
         Err(MapError::NotMapped)
     }
 
-    /// Enumerates every mapping in the tree (for invariant checking).
+    /// Enumerates every mapping in the tree (for invariant checking),
+    /// in virtual-address order. Only the non-zero cells of each table
+    /// are decoded ([`PhysMem::live`]): a zero cell is no entry.
     pub fn mappings(&self, mem: &PhysMem) -> Vec<Mapping> {
         let mut out = Vec::new();
         self.collect(mem, self.root, 0, 0, &mut out);
@@ -339,10 +341,9 @@ impl PageTable {
     ) {
         let entries = 1u64 << self.geo.index_bits;
         let span = self.geo.span(level);
-        for i in 0..entries {
-            let cell = table + i;
-            let va = va_base + i * span;
-            match Pte::decode(mem.read(cell)) {
+        for (cell, word) in mem.live(table, table + entries) {
+            let va = va_base + (cell - table) * span;
+            match Pte::decode(word) {
                 None => {}
                 Some(p) if p.kind == PteKind::Table && level < self.geo.levels - 1 => {
                     self.collect(mem, p.base, level + 1, va, out);
@@ -455,6 +456,90 @@ mod tests {
         assert_eq!(ms[0].pa, 0x200);
         assert_eq!(ms[1].va, 0x50);
         assert_eq!(ms[1].perms, Perms::RO);
+    }
+
+    /// The dense reference walk: reads every entry of every table, one
+    /// by one — the oracle for [`PageTable::mappings`], which reads only
+    /// the live cells.
+    fn dense_mappings(pt: &PageTable, mem: &PhysMem) -> Vec<Mapping> {
+        fn go(
+            pt: &PageTable,
+            mem: &PhysMem,
+            table: Addr,
+            level: u32,
+            va_base: Addr,
+            out: &mut Vec<Mapping>,
+        ) {
+            let span = pt.geo.span(level);
+            for i in 0..1u64 << pt.geo.index_bits {
+                let va = va_base + i * span;
+                match Pte::decode(mem.read(table + i)) {
+                    None => {}
+                    Some(p) if p.kind == PteKind::Table && level < pt.geo.levels - 1 => {
+                        go(pt, mem, p.base, level + 1, va, out);
+                    }
+                    Some(p) => out.push(Mapping {
+                        va,
+                        pa: p.base,
+                        words: span,
+                        perms: p.perms,
+                    }),
+                }
+            }
+        }
+        let mut out = Vec::new();
+        go(pt, mem, pt.root, 0, 0, &mut out);
+        out
+    }
+
+    #[test]
+    fn mappings_equal_a_dense_walk_after_random_edits() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x7461_626c);
+        let geos = [
+            Geometry::arm_3level(),
+            Geometry::arm_4level(),
+            Geometry::tiny(2),
+            Geometry::tiny(3),
+            Geometry::tiny(4),
+        ];
+        for geo in geos {
+            let mut mem = PhysMem::new();
+            let mut pool = PagePool::new(&mut mem, 0x100_000, geo.page_words(), 64);
+            let pt = PageTable::new(pool.alloc(&mem).unwrap(), geo);
+            let last = (1u64 << geo.index_bits) - 1;
+            for step in 0..400 {
+                // Each level's index is one of the table's first two or
+                // last two entries, so mappings crowd both ends of a
+                // table (and of the memory chunk it starts).
+                let level = rng.gen_range(0..geo.levels);
+                let va = (0..=level).fold(0, |va, l| {
+                    let i = [0, 1, last - 1, last][rng.gen_range(0..4)];
+                    va | (i << (geo.page_bits + geo.index_bits * (geo.levels - 1 - l)))
+                });
+                let pa = 0x4000_0000 + rng.gen_range(0..8u64) * geo.span(level);
+                let _ = match rng.gen_range(0..4u32) {
+                    0 | 1 => pt.map_block(&mut mem, &mut pool, va, pa, Perms::RW, level),
+                    2 => pt.unmap(&mut mem, va),
+                    _ => {
+                        // A non-zero word without the valid bit is no
+                        // entry either.
+                        let cell = pt.root + rng.gen_range(0..last + 1);
+                        if mem.read(cell) == 0 {
+                            mem.write(cell, 0b100);
+                        }
+                        Ok(Vec::new())
+                    }
+                };
+                assert_eq!(
+                    pt.mappings(&mem),
+                    dense_mappings(&pt, &mem),
+                    "{geo:?} step {step}"
+                );
+            }
+            assert!(!pt.mappings(&mem).is_empty(), "{geo:?}: nothing mapped");
+        }
     }
 
     #[test]

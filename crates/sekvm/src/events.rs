@@ -176,6 +176,22 @@ impl MEvent {
             | MEvent::OwnershipChange { cpu, .. } => *cpu,
         }
     }
+
+    /// Renames the event's CPU `c` to `perm[c]`.
+    pub(crate) fn relabel(&mut self, perm: &[usize]) {
+        match self {
+            MEvent::OpStart { cpu, .. }
+            | MEvent::OpEnd { cpu, .. }
+            | MEvent::LockAcquire { cpu, .. }
+            | MEvent::LockRelease { cpu, .. }
+            | MEvent::Barrier { cpu }
+            | MEvent::Tlbi { cpu, .. }
+            | MEvent::PtWrite { cpu, .. }
+            | MEvent::MemRead { cpu, .. }
+            | MEvent::MemWrite { cpu, .. }
+            | MEvent::OwnershipChange { cpu, .. } => *cpu = perm[*cpu],
+        }
+    }
 }
 
 /// A machine execution log.

@@ -41,7 +41,7 @@ use crate::npt::{S2Behaviour, S2Error, Stage2};
 use crate::s2page::{Owner, OwnershipError, S2PageArray};
 use crate::smmu::SmmuDevice;
 use crate::ticketlock::TicketLock;
-use crate::vcpu::{Vcpu, VcpuCtx, VcpuError};
+use crate::vcpu::{Vcpu, VcpuCtx, VcpuError, VcpuState};
 use crate::vgic::{VGic, VgicError};
 
 /// Configuration (including the mutant switches used to demonstrate the
@@ -295,6 +295,20 @@ impl Locks {
             .chain(self.smmu.iter())
     }
 
+    /// Renames every holding CPU `c` to `perm[c]`.
+    fn relabel(&mut self, perm: &[usize]) {
+        [
+            &mut self.vmid,
+            &mut self.kserv_s2,
+            &mut self.s2page,
+            &mut self.el2,
+        ]
+        .into_iter()
+        .chain(self.vm.iter_mut())
+        .chain(self.smmu.iter_mut())
+        .for_each(|l| l.relabel(perm));
+    }
+
     /// Writes a canonical encoding of every lock's *semantic* state —
     /// queue depth and holder, not the absolute ticket counters or the
     /// spin statistics, which are schedule history rather than state.
@@ -467,6 +481,23 @@ impl KCore {
             (self.next_vmid, self.remap_next),
             (&self.el2_pool, &self.s2_pool, &self.smmu_pool),
         ))
+    }
+
+    /// Renames every CPU identity the state holds — lock holders, the
+    /// CPU an active vCPU runs on, and each logged event's CPU — from
+    /// `c` to `perm[c]`. Nothing else in a `KCore` names a CPU, so this
+    /// is the state that running the same steps with the CPUs relabeled
+    /// by `perm` reaches.
+    pub(crate) fn relabel_cpus(&mut self, perm: &[usize]) {
+        self.locks.relabel(perm);
+        for v in self.vms.iter_mut().flat_map(|vm| &mut vm.vcpus) {
+            if let VcpuState::Active { cpu } = &mut v.state {
+                *cpu = perm[*cpu];
+            }
+        }
+        for e in &mut self.log {
+            e.relabel(perm);
+        }
     }
 
     fn behaviour(&self) -> S2Behaviour {

@@ -206,8 +206,9 @@ pub struct RunReport {
     pub ops_ok: usize,
     /// Operations that failed, with their errors.
     pub failures: Vec<(usize, &'static str, HypercallError)>,
-    /// Operations whose expectation (e.g. `expect_allowed`) was violated.
-    pub expectation_violations: Vec<String>,
+    /// Operations whose expectation (e.g. `expect_allowed`) was
+    /// violated, as (CPU, description).
+    pub expectation_violations: Vec<(usize, String)>,
     /// Scheduler steps executed.
     pub steps: usize,
     /// Total lock spin iterations observed (contention measure).
@@ -531,16 +532,20 @@ impl Machine {
                     let vmid = self.require_vm(cpu)?;
                     let got = self.kcore.vm_read(cpu, vmid, *gpa)?;
                     if got != *expect {
-                        report.expectation_violations.push(format!(
-                            "CPU{cpu}: VM read of {gpa:#x} = {got}, expected {expect}"
+                        report.expectation_violations.push((
+                            cpu,
+                            format!("VM read of {gpa:#x} = {got}, expected {expect}"),
                         ));
                     }
                 }
                 Op::KservRead { pa, expect_allowed } => {
                     let r = self.kcore.kserv_read(cpu, *pa);
                     if r.is_ok() != *expect_allowed {
-                        report.expectation_violations.push(format!(
-                            "CPU{cpu}: KServ read of {pa:#x}: {r:?}, expected allowed={expect_allowed}"
+                        report.expectation_violations.push((
+                            cpu,
+                            format!(
+                                "KServ read of {pa:#x}: {r:?}, expected allowed={expect_allowed}"
+                            ),
                         ));
                     }
                 }
@@ -551,8 +556,11 @@ impl Machine {
                 } => {
                     let r = self.kcore.kserv_write(cpu, *pa, *val);
                     if r.is_ok() != *expect_allowed {
-                        report.expectation_violations.push(format!(
-                            "CPU{cpu}: KServ write of {pa:#x}: {r:?}, expected allowed={expect_allowed}"
+                        report.expectation_violations.push((
+                            cpu,
+                            format!(
+                                "KServ write of {pa:#x}: {r:?}, expected allowed={expect_allowed}"
+                            ),
                         ));
                     }
                 }
@@ -777,7 +785,7 @@ pub struct ExhaustiveConfig {
     pub jobs: usize,
     /// Run the walk through the reduced drivers (`true`, the default):
     /// CPUs with identical scripts are collapsed to orbit
-    /// representatives via path replay, and terminal outcomes are
+    /// representatives by relabeling, and terminal outcomes are
     /// re-rendered for every collapsed variant, so the outcome set and
     /// verdict are identical to the exhaustive walk's (see
     /// `docs/REDUCTION.md`). `false` forces the exact unreduced walk —
@@ -811,7 +819,8 @@ pub struct SchedOutcome {
     pub ops_ok: usize,
     /// Failed operations, rendered as `CPU<i> <op>: <error>`.
     pub failures: Vec<String>,
-    /// Operations whose expectation (e.g. `expect_allowed`) was violated.
+    /// Operations whose expectation (e.g. `expect_allowed`) was violated,
+    /// rendered as `CPU<i>: <description>`.
     pub expectation_violations: Vec<String>,
     /// Dynamic-wDRF violations found in this schedule's event log.
     pub wdrf_violations: Vec<String>,
@@ -967,7 +976,6 @@ impl ScheduleResume {
 /// field is malformed or left over, a path names a CPU the workload
 /// lacks, or a rebuilt node is not in the image's visited map.
 fn decode_image(mut c: Cursor<'_>, root: &SchedNode) -> Option<ScheduleResume> {
-    let identity: Vec<usize> = (0..root.cpus.len()).collect();
     let n = c.u64()?;
     let visited = (0..n)
         .map(|_| Some((c.u128()?, c.u64()?)))
@@ -979,9 +987,9 @@ fn decode_image(mut c: Cursor<'_>, root: &SchedNode) -> Option<ScheduleResume> {
             let mask = c.u64()?;
             let len = c.u32()?;
             let path = (0..len)
-                .map(|_| c.u16().filter(|&cpu| usize::from(cpu) < identity.len()))
+                .map(|_| c.u16().filter(|&cpu| usize::from(cpu) < root.cpus.len()))
                 .collect::<Option<Vec<u16>>>()?;
-            let node = replay(root, &path, &identity);
+            let node = replay(root, &path);
             visited
                 .contains_key(&vrm_explore::digest128(&node))
                 .then_some((node, depth, mask))
@@ -1099,14 +1107,16 @@ struct SchedNode {
     cpus: Vec<CpuState>,
     ops_ok: usize,
     failures: Vec<(usize, &'static str, HypercallError)>,
-    expectation_violations: Vec<String>,
+    /// (CPU, description) of each violated expectation, rendered as
+    /// `CPU<i>: <description>` in the [`SchedOutcome`]; the CPU is kept
+    /// apart so [`SchedNode::relabeled`] can rename it.
+    expectation_violations: Vec<(usize, String)>,
     /// The sequence of CPU choices that reached this node from the
     /// root. Because [`SchedNode::step_once`] is deterministic, the path
     /// is a complete, compact, durable encoding of the node: [`replay`]
     /// rebuilds the node bit-for-bit from the initial state. This is
     /// what makes parked frontiers serializable
-    /// ([`ScheduleResume::to_bytes`]) without ever encoding a `KCore`,
-    /// and what symmetry canon permutes.
+    /// ([`ScheduleResume::to_bytes`]) without ever encoding a `KCore`.
     path: Vec<u16>,
     digest: u128,
 }
@@ -1126,7 +1136,7 @@ impl SchedNode {
         cpus: Vec<CpuState>,
         ops_ok: usize,
         failures: Vec<(usize, &'static str, HypercallError)>,
-        expectation_violations: Vec<String>,
+        expectation_violations: Vec<(usize, String)>,
         path: Vec<u16>,
     ) -> Self {
         let cpu_keys: Vec<_> = cpus
@@ -1190,6 +1200,41 @@ impl SchedNode {
         )
     }
 
+    /// This node with every CPU identity it holds renamed from `c` to
+    /// `perm[c]`, digested once: the per-CPU states move to their new
+    /// places, and the `KCore` ([`KCore::relabel_cpus`]), the failures,
+    /// the expectation violations and the path are renamed in place.
+    /// With `perm` a symmetry of identical scripts this is *exactly* the
+    /// node that [`replay`] of the permuted path builds — failure
+    /// strings, event log and digest included — for the price of one
+    /// clone instead of the path's steps. It is the machine layer's
+    /// canonicalization primitive.
+    fn relabeled(&self, perm: &[usize]) -> SchedNode {
+        let mut kcore = self.kcore.clone();
+        kcore.relabel_cpus(perm);
+        let mut from = vec![0; perm.len()];
+        for (c, &to) in perm.iter().enumerate() {
+            from[to] = c;
+        }
+        SchedNode::new(
+            kcore,
+            from.iter().map(|&c| self.cpus[c].clone()).collect(),
+            self.ops_ok,
+            self.failures
+                .iter()
+                .map(|(c, n, e)| (perm[*c], *n, e.clone()))
+                .collect(),
+            self.expectation_violations
+                .iter()
+                .map(|(c, t)| (perm[*c], t.clone()))
+                .collect(),
+            self.path
+                .iter()
+                .map(|&c| perm[usize::from(c)] as u16)
+                .collect(),
+        )
+    }
+
     /// The deterministic successor of this node when `cpu` takes the
     /// next step — the transition function of both machine spaces,
     /// which [`replay`] repeats step by step on one machine. Also says
@@ -1213,7 +1258,11 @@ impl SchedNode {
                 .iter()
                 .map(|(c, n, e)| format!("CPU{c} {n}: {e}"))
                 .collect(),
-            expectation_violations: self.expectation_violations.clone(),
+            expectation_violations: self
+                .expectation_violations
+                .iter()
+                .map(|(c, t)| format!("CPU{c}: {t}"))
+                .collect(),
             wdrf_violations: crate::wdrf::validate_log(&self.kcore.log)
                 .iter()
                 .map(|v| format!("{v:?}"))
@@ -1266,32 +1315,28 @@ fn script_perms(scripts: &[Script]) -> Vec<Vec<usize>> {
     symm::group_permutations(scripts.len(), &groups)
 }
 
-/// Replays `π ∘ path` from the workload's initial node: one owned
-/// machine takes every step in place and the reached state is digested
-/// once, at the end. Because [`Machine::step`] is deterministic, the
-/// result is the node the walk would build by [`SchedNode::step_once`]
-/// along the same choices. With `π` the identity, that is the node
-/// `path` reached: this is how [`ScheduleResume::from_bytes`] rebuilds a
-/// frontier. With `π` a symmetry of identical scripts it is *exactly*
-/// the reached node with CPU identities relabeled by `π` — including
-/// its failure strings, event log and digest — which is the machine
-/// layer's canonicalization primitive.
-fn replay(root: &SchedNode, path: &[u16], perm: &[usize]) -> SchedNode {
-    let steps: Vec<u16> = path.iter().map(|&c| perm[usize::from(c)] as u16).collect();
+/// Replays `path` from the workload's initial node: one owned machine
+/// takes every step in place and the reached state is digested once, at
+/// the end. Because [`Machine::step`] is deterministic, the result is
+/// the node the walk would build by [`SchedNode::step_once`] along the
+/// same choices: this is how [`ScheduleResume::from_bytes`] rebuilds a
+/// frontier, and, given a path with its CPUs permuted, the oracle for
+/// [`SchedNode::relabeled`].
+fn replay(root: &SchedNode, path: &[u16]) -> SchedNode {
     let mut m = root.machine();
     let mut delta = RunReport::default();
-    for &c in &steps {
+    for &c in path {
         m.step(usize::from(c), &mut delta);
     }
-    root.descendant(m, delta, &steps)
+    root.descendant(m, delta, path)
 }
 
 /// The minimal-digest orbit member of `node` (when it is not `node`
 /// itself) under the permutations in `perms`.
-fn canon_node(root: &SchedNode, perms: &[Vec<usize>], node: &SchedNode) -> Option<SchedNode> {
+fn canon_node(perms: &[Vec<usize>], node: &SchedNode) -> Option<SchedNode> {
     let mut best: Option<SchedNode> = None;
     for perm in perms {
-        let img = replay(root, &node.path, perm);
+        let img = node.relabeled(perm);
         let best_digest = best.as_ref().map_or(node.digest, |b| b.digest);
         if img.digest < best_digest {
             best = Some(img);
@@ -1301,10 +1346,10 @@ fn canon_node(root: &SchedNode, perms: &[Vec<usize>], node: &SchedNode) -> Optio
 }
 
 /// The other distinct members of `node`'s orbit under `perms`.
-fn orbit_nodes(root: &SchedNode, perms: &[Vec<usize>], node: &SchedNode) -> Vec<SchedNode> {
+fn orbit_nodes(perms: &[Vec<usize>], node: &SchedNode) -> Vec<SchedNode> {
     let mut out: Vec<SchedNode> = Vec::new();
     for perm in perms {
-        let img = replay(root, &node.path, perm);
+        let img = node.relabeled(perm);
         if img.digest != node.digest && out.iter().all(|o| o.digest != img.digest) {
             out.push(img);
         }
@@ -1403,7 +1448,8 @@ impl RefineEmit {
 /// conservative top defaults (every operation may touch the shared
 /// `KCore`, so no sound independence is claimed and neither sleep sets
 /// nor ample singletons ever prune), while `canon`/`orbit` collapse CPUs
-/// with identical scripts via path replay. The global-stall emission —
+/// with identical scripts by relabeling them in the node
+/// ([`SchedNode::relabeled`]). The global-stall emission —
 /// every CPU steps to itself, a property no single `expand_proc` can
 /// see — is recovered by the reduced drivers' dead-end delegation to the
 /// whole-state [`StateSpace::expand`]. One asymmetry of *observation*
@@ -1497,11 +1543,11 @@ impl StateSpace for RefineSpace {
     }
 
     fn canon(&self, node: &SchedNode) -> Option<SchedNode> {
-        canon_node(&self.root, &self.perms, node)
+        canon_node(&self.perms, node)
     }
 
     fn orbit(&self, node: &SchedNode) -> Vec<SchedNode> {
-        orbit_nodes(&self.root, &self.perms, node)
+        orbit_nodes(&self.perms, node)
     }
 }
 
@@ -1569,6 +1615,8 @@ pub fn lifecycle_script(cpu_index: u64, image_base_pfn: u64, data_pfn: u64) -> S
 mod tests {
     use super::*;
     use crate::layout::VM_POOL_PFN;
+    use crate::vcpu::VcpuState;
+    use std::collections::HashSet;
 
     fn scripts(n: usize) -> Vec<Script> {
         (0..n)
@@ -1755,30 +1803,48 @@ mod tests {
     }
 
     /// Every node an unreduced walk of `scripts` generates — revisits
-    /// included — with its reference fingerprints, deduplicated for
-    /// expansion by the node fingerprint (not by the digest under
-    /// test), followed by each reached node's symmetry images as
-    /// [`replay`] builds them for canon and orbit.
-    fn generated_nodes(scripts: Vec<Script>) -> Vec<(SchedNode, (u128, u128))> {
+    /// included — with its `key`, each distinct key expanded once and at
+    /// most `max_expanded` keys in all (depth first, so a capped walk
+    /// still reaches deep states), followed by the symmetry images of
+    /// each expanded node with their keys. An image is built by
+    /// [`SchedNode::relabeled`], as canon and orbit build it, and held
+    /// to its oracle, [`replay`] of the permuted path: the two must
+    /// agree on digest, path, event log and rendered outcome.
+    fn generated_nodes<K: std::hash::Hash + Eq + Copy>(
+        scripts: Vec<Script>,
+        max_expanded: usize,
+        key: impl Fn(&SchedNode) -> K,
+    ) -> Vec<(SchedNode, K)> {
         let space = RefineSpace::new(KCoreConfig::default(), scripts, false);
-        let mut expanded = std::collections::HashSet::new();
+        let mut expanded = HashSet::new();
         let mut stack = vec![space.root.clone()];
         let mut nodes = Vec::new();
         while let Some(n) = stack.pop() {
-            let fps = reference_fingerprints(&n);
-            if expanded.insert(fps.1) {
+            let k = key(&n);
+            if expanded.len() < max_expanded && expanded.insert(k) {
                 for cpu in RefineSpace::runnable(&n) {
                     stack.push(n.step_once(cpu).0);
                 }
             }
-            nodes.push((n, fps));
+            nodes.push((n, k));
         }
         let mut images = Vec::new();
-        for (n, _) in nodes.iter().filter(|(_, fps)| expanded.remove(&fps.1)) {
+        for (n, _) in nodes.iter().filter(|(_, k)| expanded.remove(k)) {
             for perm in &space.perms {
-                let img = replay(&space.root, &n.path, perm);
-                let fps = reference_fingerprints(&img);
-                images.push((img, fps));
+                let img = n.relabeled(perm);
+                let path: Vec<u16> = n
+                    .path
+                    .iter()
+                    .map(|&c| perm[usize::from(c)] as u16)
+                    .collect();
+                let oracle = replay(&space.root, &path);
+                let at = format!("{:?} relabeled by {perm:?}", n.path);
+                assert_eq!(img.digest, oracle.digest, "{at}");
+                assert_eq!(img.path, oracle.path, "{at}");
+                assert_eq!(img.kcore.log, oracle.kcore.log, "{at}");
+                assert_eq!(img.outcome(false), oracle.outcome(false), "{at}");
+                let k = key(&img);
+                images.push((img, k));
             }
         }
         nodes.extend(images);
@@ -1799,7 +1865,7 @@ mod tests {
         use std::collections::HashMap;
         for (name, reached) in [("unmap", 117), ("mirror", 137)] {
             let scripts = crate::workloads::by_name(name).expect("registered workload");
-            let nodes = generated_nodes(scripts);
+            let nodes = generated_nodes(scripts, usize::MAX, reference_fingerprints);
             let (mut node_ids, mut node_texts) = (HashMap::new(), HashMap::new());
             let (mut kcore_ids, mut kcore_texts) = (HashMap::new(), HashMap::new());
             for (n, (kcore_text, node_text)) in &nodes {
@@ -1826,17 +1892,112 @@ mod tests {
         }
     }
 
+    /// A KServ read of a KCore page that expects to be allowed: each
+    /// run of it records an expectation violation.
+    fn kcore_probe() -> Op {
+        Op::KservRead {
+            pa: crate::layout::PAGE_WORDS,
+            expect_allowed: true,
+        }
+    }
+
+    /// Three identical CPUs that each register a VM and a vCPU, try to
+    /// run the vCPU of a VM that was never booted, and probe a KCore
+    /// page: CPU identities land in failures, expectation violations
+    /// and the log's lock events. (A lock is taken and released within
+    /// one step, so no node holds one.)
+    fn three_unbooted_vcpu_scripts() -> Vec<Script> {
+        let script = vec![
+            Op::RegisterVm,
+            Op::RegisterVcpu,
+            Op::VcpuBegin { vcpu: 0 },
+            Op::VcpuEnd,
+            kcore_probe(),
+        ];
+        vec![script; 3]
+    }
+
+    /// Three identical CPUs that adopt the VM a fourth CPU boots and
+    /// take turns on its one vCPU: CPU identities land in vCPU
+    /// `Active { cpu }` states too. The fourth CPU is named by the
+    /// others' `AttachVm`, so it is pinned out of the symmetry group.
+    fn three_shared_vcpu_scripts() -> Vec<Script> {
+        let owner = vec![
+            Op::RegisterVm,
+            Op::RegisterVcpu,
+            Op::StageImage {
+                pfns: vec![crate::layout::VM_POOL_PFN.0],
+            },
+            Op::VerifyImage,
+        ];
+        let guest = vec![
+            Op::AttachVm { owner_cpu: 3 },
+            Op::VcpuBegin { vcpu: 0 },
+            Op::VcpuEnd,
+            kcore_probe(),
+        ];
+        vec![guest.clone(), guest.clone(), guest, owner]
+    }
+
+    #[test]
+    fn relabeled_nodes_equal_replayed_ones_on_three_cpu_walks() {
+        // `generated_nodes` holds every image to replay. The nodes are
+        // keyed by their digests, as the walk dedups: the reference
+        // texts are too slow to build for thousands of nodes.
+        let mut mirror3 = crate::workloads::mirror();
+        mirror3.push(mirror3[0].clone());
+        let mirror3 = generated_nodes(mirror3, usize::MAX, |n| n.digest);
+        let shared = generated_nodes(three_shared_vcpu_scripts(), usize::MAX, |n| n.digest);
+        for (name, nodes, reached) in [("mirror3", &mirror3, 3670), ("shared", &shared, 902)] {
+            // Images of reached nodes are reached nodes: relabeling
+            // stays inside the walked space.
+            let digests: HashSet<u128> = nodes.iter().map(|&(_, d)| d).collect();
+            assert_eq!(digests.len(), reached, "{name}");
+        }
+        // The unbooted walk has 60,844 nodes; the first 3,000 it
+        // expands are checked.
+        let unbooted = generated_nodes(three_unbooted_vcpu_scripts(), 3_000, |n| n.digest);
+        // The inputs name CPUs other than 0 where claimed.
+        assert!(shared.iter().any(|(n, _)| {
+            n.kcore
+                .vms
+                .iter()
+                .flat_map(|vm| &vm.vcpus)
+                .any(|v| matches!(v.state, VcpuState::Active { cpu } if cpu > 0))
+        }));
+        assert!(unbooted
+            .iter()
+            .any(|(n, _)| n.failures.iter().any(|f| f.0 > 0)));
+        assert!(unbooted
+            .iter()
+            .any(|(n, _)| n.expectation_violations.iter().any(|v| v.0 > 0)));
+    }
+
+    #[test]
+    fn projection_oracle_holds_on_every_walk_node() {
+        use crate::refine::{abstract_of, dense_abstract_of};
+        for name in ["unmap", "mirror"] {
+            let scripts = crate::workloads::by_name(name).expect("registered workload");
+            let mut checked = HashSet::new();
+            for (n, digest) in generated_nodes(scripts, usize::MAX, |n| n.digest) {
+                if checked.insert(digest) {
+                    let at = format!("{name} at {:?}", n.path);
+                    assert_eq!(abstract_of(&n.kcore), dense_abstract_of(&n.kcore), "{at}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn replay_rebuilds_the_node_its_path_reached() {
         let scripts = crate::workloads::by_name("unmap").expect("unmap workload");
         let space = RefineSpace::new(KCoreConfig::default(), scripts, false);
-        let identity: Vec<usize> = (0..space.root.cpus.len()).collect();
         // Down one schedule: every prefix, rebuilt by replay, equals
         // the node the step-by-step walk built.
         let mut node = space.root.clone();
         while let Some(&cpu) = RefineSpace::runnable(&node).last() {
             node = node.step_once(cpu).0;
-            let r = replay(&space.root, &node.path, &identity);
+            let r = replay(&space.root, &node.path);
             assert_eq!(r.digest, node.digest, "path {:?}", node.path);
             assert_eq!(
                 reference_fingerprints(&r),

@@ -82,25 +82,32 @@ fn project_table(
 }
 
 /// Projects a concrete KCore state onto the abstract ownership machine.
+///
+/// The projection reads only what can differ from the abstract boot
+/// state: of the s2page records, those that moved from their boot
+/// record ([`S2PageArray::moved`](crate::s2page::S2PageArray::moved)),
+/// keeping the frames that differ from [`AbsPage::DEFAULT`] (the sparse
+/// form `AbsState` stores); of each table, its live entries
+/// ([`PageTable::mappings`](vrm_mmu::PageTable::mappings)).
 pub fn abstract_of(k: &KCore) -> AbsState {
     let mut s = AbsState {
         translation_on: k.stage2_enabled,
         dma_protected: k.smmu_enabled,
         ..Default::default()
     };
-    for pfn in 0..MAX_PFN {
-        if is_kcore_private(pfn) {
+    // An unmoved record is KCore's private frame or an unshared host
+    // frame, and so is a moved record that returned to either.
+    for (pfn, p) in k.s2pages.moved() {
+        if (p.owner == Owner::KServ && !p.shared) || is_kcore_private(pfn) {
             continue;
         }
-        if let Ok(p) = k.s2pages.get(pfn) {
-            s.set_page(
-                pfn,
-                AbsPage {
-                    owner: abs_owner(p.owner),
-                    shared: p.shared,
-                },
-            );
-        }
+        s.pages.insert(
+            pfn,
+            AbsPage {
+                owner: abs_owner(p.owner),
+                shared: p.shared,
+            },
+        );
     }
     project_table(&mut s.host, &k.kserv_s2.mappings(&k.mem));
     for vm in &k.vms {
@@ -380,11 +387,89 @@ pub fn check_transition(
     out
 }
 
+/// The dense projection [`abstract_of`] replaced, kept as its oracle: a
+/// `get` and a `set_page` for each of the 16K frames, and a table walk
+/// that reads all 512 entries of every table.
+#[cfg(test)]
+pub(crate) fn dense_abstract_of(k: &KCore) -> AbsState {
+    use vrm_mmu::pte::{Pte, PteKind};
+    use vrm_mmu::table::Mapping;
+    fn collect(
+        mem: &vrm_mmu::PhysMem,
+        geo: vrm_mmu::Geometry,
+        table: u64,
+        level: u32,
+        va_base: u64,
+        out: &mut Vec<Mapping>,
+    ) {
+        let span = geo.span(level);
+        for i in 0..1u64 << geo.index_bits {
+            let va = va_base + i * span;
+            match Pte::decode(mem.read(table + i)) {
+                None => {}
+                Some(p) if p.kind == PteKind::Table && level < geo.levels - 1 => {
+                    collect(mem, geo, p.base, level + 1, va, out);
+                }
+                Some(p) => out.push(Mapping {
+                    va,
+                    pa: p.base,
+                    words: span,
+                    perms: p.perms,
+                }),
+            }
+        }
+    }
+    let mappings = |t: &crate::npt::Stage2| {
+        let mut out = Vec::new();
+        collect(&k.mem, t.geometry(), t.root(), 0, 0, &mut out);
+        out
+    };
+    let mut s = AbsState {
+        translation_on: k.stage2_enabled,
+        dma_protected: k.smmu_enabled,
+        ..Default::default()
+    };
+    for pfn in 0..MAX_PFN {
+        if is_kcore_private(pfn) {
+            continue;
+        }
+        if let Ok(p) = k.s2pages.get(pfn) {
+            s.set_page(
+                pfn,
+                AbsPage {
+                    owner: abs_owner(p.owner),
+                    shared: p.shared,
+                },
+            );
+        }
+    }
+    project_table(&mut s.host, &mappings(&k.kserv_s2));
+    for vm in &k.vms {
+        let mut map = std::collections::BTreeMap::new();
+        project_table(&mut map, &mappings(&vm.s2));
+        if !map.is_empty() {
+            s.vms.insert(vm.vmid, map);
+        }
+    }
+    for dev in &k.devices {
+        let mut map = std::collections::BTreeMap::new();
+        project_table(&mut map, &mappings(dev.table()));
+        if !map.is_empty() {
+            let who = match dev.assigned_to {
+                Owner::Vm(v) => AbsActor::Vm(v),
+                _ => AbsActor::Host,
+            };
+            s.devs.insert(dev.dev, (who, map));
+        }
+    }
+    s
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kcore::KCoreConfig;
-    use crate::layout::VM_POOL_PFN;
+    use crate::layout::{KSERV_PFN, VM_POOL_PFN};
 
     fn booted(k: &mut KCore, cpu: usize, base: u64) -> u32 {
         let pfns = vec![base, base + 1];
@@ -403,6 +488,67 @@ mod tests {
         k.remap_vm_image(cpu, vmid).unwrap();
         k.verify_vm_image(cpu, vmid).unwrap();
         vmid
+    }
+
+    /// Holds the sparse projection to the dense oracle on `k`, and
+    /// says whether `k` has a non-default frame, a shared one, a host
+    /// mapping and a device mapping.
+    fn projects_as_dense(k: &KCore, at: &str) -> [bool; 4] {
+        let s = abstract_of(k);
+        assert_eq!(s, dense_abstract_of(k), "{at}");
+        [
+            !s.pages.is_empty(),
+            s.pages.values().any(|p| p.shared),
+            !s.host.is_empty(),
+            !s.devs.is_empty(),
+        ]
+    }
+
+    #[test]
+    fn projection_oracle_holds_on_seeded_runs_under_every_mutant() {
+        // The refinement mutants (`reclaim_leaks_ownership`,
+        // `revoke_keeps_share`, `revoke_skips_unmap`,
+        // `skip_ownership_check`, `skip_scrub_on_reclaim`) among them.
+        let configs = std::iter::once(("default", KCoreConfig::default()))
+            .chain(crate::mutants::all().into_iter().map(|m| (m.name, m.cfg)));
+        let mut seen = [false; 4];
+        for (config, cfg) in configs {
+            for &name in crate::workloads::NAMES {
+                let scripts = crate::workloads::by_name(name).expect("registered workload");
+                for seed in 0..2 {
+                    // `run(1)` continues the seeded schedule one step at
+                    // a time: every prefix is checked.
+                    let mut m = crate::machine::Machine::new(cfg, scripts.clone(), seed);
+                    for step in 0..400 {
+                        let at = format!("{config}, {name}, seed {seed}, step {step}");
+                        let has = projects_as_dense(&m.kcore, &at);
+                        for (s, h) in seen.iter_mut().zip(has) {
+                            *s |= h;
+                        }
+                        if m.run(1).steps == 0 {
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            seen[..3],
+            [true; 3],
+            "non-default, shared and host-mapped frames"
+        );
+    }
+
+    #[test]
+    fn projection_oracle_holds_with_a_device_mapping() {
+        let mut k = KCore::boot(KCoreConfig::default());
+        let vmid = booted(&mut k, 0, VM_POOL_PFN.0);
+        k.assign_smmu_dev(0, 0, Owner::Vm(vmid)).unwrap();
+        k.smmu_map(0, 0, 0, VM_POOL_PFN.0).unwrap();
+        let [_, _, _, device_mapped] = projects_as_dense(&k, "VM device mapping");
+        assert!(device_mapped);
+        k.smmu_map(0, 1, 2 * PAGE_WORDS, KSERV_PFN.0).unwrap();
+        projects_as_dense(&k, "host device mapping");
     }
 
     #[test]

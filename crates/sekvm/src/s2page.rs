@@ -6,6 +6,7 @@
 //! it is not the owner of a physical page before mapping it to a stage 2
 //! or SMMU page table."
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use vrm_mmu::mem::cell_hash;
@@ -72,10 +73,14 @@ impl std::error::Error for OwnershipError {}
 /// ownership record. A running 128-bit hash — the sum of
 /// [`cell_hash`] over every `(pfn, page)` — is kept exact by the one
 /// private helper all four mutators go through, so a state digest
-/// reads it instead of walking the array.
+/// reads it instead of walking the array. The same helper keeps the
+/// set of pfns whose record differs from its boot record, so a reader
+/// that starts from the boot state ([`S2PageArray::moved`]) visits
+/// those few records instead of all 16K.
 #[derive(Clone)]
 pub struct S2PageArray {
     pages: Arc<Vec<S2Page>>,
+    moved: Arc<BTreeSet<u64>>,
     hash: u128,
 }
 
@@ -103,6 +108,20 @@ fn page_hash(pfn: u64, p: &S2Page) -> u128 {
     )
 }
 
+/// A page's record at boot: KCore owns its private regions and KServ
+/// everything else, unshared and unmapped.
+fn boot_page(pfn: u64) -> S2Page {
+    S2Page {
+        owner: if layout::is_kcore_private(pfn) {
+            Owner::KCore
+        } else {
+            Owner::KServ
+        },
+        shared: false,
+        map_count: 0,
+    }
+}
+
 impl Default for S2PageArray {
     fn default() -> Self {
         Self::new()
@@ -113,35 +132,36 @@ impl S2PageArray {
     /// Creates the array with the boot-time layout: KCore private regions
     /// owned by KCore, everything else by KServ.
     pub fn new() -> Self {
-        let pages: Vec<S2Page> = (0..MAX_PFN)
-            .map(|pfn| S2Page {
-                owner: if layout::is_kcore_private(pfn) {
-                    Owner::KCore
-                } else {
-                    Owner::KServ
-                },
-                shared: false,
-                map_count: 0,
-            })
-            .collect();
+        let pages: Vec<S2Page> = (0..MAX_PFN).map(boot_page).collect();
         let hash = pages
             .iter()
             .zip(0..)
             .fold(0u128, |h, (p, pfn)| h.wrapping_add(page_hash(pfn, p)));
         S2PageArray {
             pages: Arc::new(pages),
+            moved: Arc::default(),
             hash,
         }
     }
 
     /// Applies `edit` to an in-range page: unshares the array if a
-    /// clone still holds it, and moves the running hash from the old
-    /// record to the new one.
+    /// clone still holds it, moves the running hash from the old record
+    /// to the new one, and files the pfn as moved exactly when its new
+    /// record differs from its boot record.
     fn update(&mut self, pfn: u64, edit: impl FnOnce(&mut S2Page)) {
         let p = &mut Arc::make_mut(&mut self.pages)[pfn as usize];
         self.hash = self.hash.wrapping_sub(page_hash(pfn, p));
         edit(p);
         self.hash = self.hash.wrapping_add(page_hash(pfn, p));
+        let moved = *p != boot_page(pfn);
+        if moved != self.moved.contains(&pfn) {
+            let set = Arc::make_mut(&mut self.moved);
+            if moved {
+                set.insert(pfn);
+            } else {
+                set.remove(&pfn);
+            }
+        }
     }
 
     /// The running hash of every page record: equal for equal arrays,
@@ -206,13 +226,27 @@ impl S2PageArray {
         Ok(())
     }
 
+    /// Every page record with its pfn, in pfn order: one pass over the
+    /// array, where a `get` per pfn bounds-checks each one.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, S2Page)> + '_ {
+        (0..).zip(self.pages.iter().copied())
+    }
+
+    /// The records that differ from their boot record, with their pfns,
+    /// in pfn order. Every other page is as [`S2PageArray::new`] left
+    /// it, so a projection that starts from the boot state needs only
+    /// these.
+    pub fn moved(&self) -> impl Iterator<Item = (u64, S2Page)> + '_ {
+        self.moved
+            .iter()
+            .map(|&pfn| (pfn, self.pages[pfn as usize]))
+    }
+
     /// All pages owned by a given principal.
     pub fn owned_by(&self, owner: Owner) -> Vec<u64> {
-        self.pages
-            .iter()
-            .enumerate()
+        self.iter()
             .filter(|(_, p)| p.owner == owner)
-            .map(|(i, _)| i as u64)
+            .map(|(pfn, _)| pfn)
             .collect()
     }
 }
@@ -278,6 +312,13 @@ mod tests {
         })
     }
 
+    /// The hash and the moved records match a full pass over the array.
+    fn assert_derived_state_exact(a: &S2PageArray, at: &str) {
+        assert_eq!(a.digest(), recomputed(a), "{at}");
+        let moved: Vec<(u64, S2Page)> = a.iter().filter(|&(pfn, p)| p != boot_page(pfn)).collect();
+        assert!(a.moved().eq(moved), "{at}");
+    }
+
     #[test]
     fn clones_share_pages_until_one_side_writes() {
         let a = S2PageArray::new();
@@ -325,12 +366,12 @@ mod tests {
                 2 => a.inc_map(pfn),
                 _ => a.dec_map(pfn),
             };
-            assert_eq!(a.digest(), recomputed(a), "step {step}, array {i}");
+            assert_derived_state_exact(a, &format!("step {step}, array {i}"));
             // An edit must never leak into the arrays it was cloned
             // from or into.
             if step % 50 == 49 {
                 for (j, a) in arrays.iter().enumerate() {
-                    assert_eq!(a.digest(), recomputed(a), "step {step}, array {j}");
+                    assert_derived_state_exact(a, &format!("step {step}, array {j}"));
                 }
             }
         }

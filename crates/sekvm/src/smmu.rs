@@ -83,6 +83,12 @@ impl SmmuDevice {
     pub fn mappings(&self, mem: &PhysMem) -> Vec<vrm_mmu::table::Mapping> {
         self.table.mappings(mem)
     }
+
+    /// The device's table (for the dense projection oracle).
+    #[cfg(test)]
+    pub(crate) fn table(&self) -> &Stage2 {
+        &self.table
+    }
 }
 
 impl Stage2 {

@@ -69,6 +69,11 @@ impl TicketLock {
         self.holder
     }
 
+    /// Renames the holding CPU `c` to `perm[c]`.
+    pub(crate) fn relabel(&mut self, perm: &[usize]) {
+        self.holder = self.holder.map(|c| perm[c]);
+    }
+
     /// Is the lock held at all?
     pub fn is_held(&self) -> bool {
         self.holder.is_some()
